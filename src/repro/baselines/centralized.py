@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import OptimizationError
 from repro.model.task import TaskSet
@@ -110,7 +109,11 @@ def solve_centralized(taskset: TaskSet,
 
             constraints.append({"type": "ineq", "fun": path_slack})
 
-    result = optimize.minimize(
+    # Imported here so that importing the package (and the CLI) does not
+    # pay for scipy.optimize unless the oracle actually runs.
+    from scipy.optimize import minimize
+
+    result = minimize(
         objective,
         start,
         method="SLSQP",

@@ -31,7 +31,6 @@ import math
 from typing import Dict, Mapping, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import OptimizationError
 from repro.core.state import PathKey
@@ -89,7 +88,10 @@ def stationary_latency(share_fn: ShareFunction, price: float,
         return math.inf
     if g(lo) < 0.0:
         return lo
-    return optimize.brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)
+    # Imported here: scipy.optimize costs ~0.5 s to import, and the
+    # closed-form models never reach this solver.
+    from scipy.optimize import brentq
+    return brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)
 
 
 class LatencyAllocator:
@@ -234,7 +236,9 @@ class LatencyAllocator:
             ])
             return -grad
 
-        result = optimize.minimize(
+        from scipy.optimize import minimize  # see numeric_latency
+
+        result = minimize(
             negative_lagrangian,
             x0,
             jac=negative_gradient,

@@ -15,14 +15,27 @@ infeasible workload — so the detector here combines:
 
 Feasibility checking can be disabled to mimic a naive utility-only stop,
 which the schedulability experiments use to demonstrate the failure mode.
+
+:meth:`ConvergenceDetector.observe` takes one of two inputs.  The scalar
+backend hands it a latency dict and the verdict walks the task set's
+object graph.  The vectorized backend hands it the kernel's per-round
+resource loads and path latencies, and the verdict is an O(R + P) compare
+against the compiled structure.  Either way the verdict is computed only
+when :meth:`converged` gets past the utility-stability test (or
+:meth:`feasible` is called), at most once per observed round.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Mapping, Optional
+from typing import TYPE_CHECKING, Deque, Mapping, Optional
+
+import numpy as np
 
 from repro.model.task import TaskSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.core.structure import TaskSetStructure
 
 __all__ = ["ConvergenceDetector"]
 
@@ -38,6 +51,7 @@ class ConvergenceDetector:
         feasibility_tol: float = 1e-3,
         require_feasible: bool = True,
         utility_floor: float = 1e-6,
+        structure: Optional["TaskSetStructure"] = None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window!r}")
@@ -53,17 +67,46 @@ class ConvergenceDetector:
         self.feasibility_tol = float(feasibility_tol)
         self.require_feasible = bool(require_feasible)
         self.utility_floor = float(utility_floor)
+        self.structure = structure
         self._recent: Deque[float] = deque(maxlen=window + 1)
         self._last_latencies: Optional[Mapping[str, float]] = None
+        self._last_loads: Optional[np.ndarray] = None
+        self._last_path_lat: Optional[np.ndarray] = None
+        self._verdict: Optional[bool] = None
 
     def reset(self) -> None:
         self._recent.clear()
         self._last_latencies = None
+        self._last_loads = None
+        self._last_path_lat = None
+        self._verdict = None
 
-    def observe(self, utility: float, latencies: Mapping[str, float]) -> None:
-        """Record one iteration's outcome."""
+    def observe(self, utility: float,
+                latencies: Optional[Mapping[str, float]] = None, *,
+                loads: Optional[np.ndarray] = None,
+                path_lat: Optional[np.ndarray] = None) -> None:
+        """Record one iteration's outcome.
+
+        Pass either the latency assignment (``latencies``) or the kernel's
+        arrays: ``loads`` (shape ``(R,)``) and ``path_lat`` (shape
+        ``(P,)``) in the canonical order of the ``structure`` the detector
+        was built with.  The arrays are kept, not copied; the caller must
+        not write into them afterwards.
+        """
+        if (latencies is None) == (loads is None or path_lat is None):
+            raise ValueError(
+                "observe needs either latencies or both loads and path_lat"
+            )
+        if latencies is None and self.structure is None:
+            raise ValueError(
+                "observing loads/path_lat needs a detector built with a "
+                "structure"
+            )
         self._recent.append(float(utility))
-        self._last_latencies = dict(latencies)
+        self._last_latencies = None if latencies is None else dict(latencies)
+        self._last_loads = loads
+        self._last_path_lat = path_lat
+        self._verdict = None
 
     def utility_stable(self) -> bool:
         """Relative utility change below tolerance across the window.
@@ -84,10 +127,25 @@ class ConvergenceDetector:
 
     def feasible(self) -> bool:
         """Current iterate satisfies Eqs. 3–4 within tolerance."""
+        if self._verdict is None:
+            self._verdict = self._judge()
+        return self._verdict
+
+    def _judge(self) -> bool:
+        tol = self.feasibility_tol
+        if self._last_loads is not None and self._last_path_lat is not None:
+            s = self.structure
+            assert s is not None  # observe checked it
+            # Same comparisons as TaskSet.constraint_violations, per array
+            # element: load > B_r + tol, path latency > C_i + tol.
+            return not (
+                bool(np.any(self._last_loads > s.availability + tol))
+                or bool(np.any(self._last_path_lat > s.path_crit + tol))
+            )
         if self._last_latencies is None:
             return False
         return self.taskset.is_feasible(  # statan: disable=REP016 -- scalar-backend feasibility fallback
-            self._last_latencies, tol=self.feasibility_tol
+            self._last_latencies, tol=tol
         )
 
     def converged(self) -> bool:

@@ -24,15 +24,16 @@ import logging
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional,
+    Protocol, Tuple, Union,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from typing import Union
+import numpy as np
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.sharding import ShardedEngine
     from repro.core.structure import TaskSetStructure
-    from repro.core.vectorized import VectorizedEngine
+    from repro.core.vectorized import EngineStep, VectorizedEngine
 
     Engine = Union["VectorizedEngine", "ShardedEngine"]
 
@@ -50,6 +51,46 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry, encode_record
 __all__ = ["LLAConfig", "LLAOptimizer"]
 
 logger = logging.getLogger(__name__)
+
+
+class _PriceState(Protocol):
+    """What the facade exposes as ``resource_prices`` on either backend."""
+
+    prices: Dict[str, float]
+
+    def reset(self) -> None: ...
+
+
+class _EnginePrices:
+    """``resource_prices`` on the vectorized backend, where μ lives in the
+    engine.
+
+    The per-name dict is built from the engine's μ on first read after a
+    round and kept until the next round, so a caller may edit it in place
+    and then ask for a reallocation (:meth:`LLAOptimizer.adopt_prices`),
+    exactly as with the scalar :class:`ResourcePriceUpdater`.
+    """
+
+    def __init__(self, engine: "Engine") -> None:
+        self._engine = engine
+        self._prices: Optional[Dict[str, float]] = None
+
+    @property
+    def prices(self) -> Dict[str, float]:
+        if self._prices is None:
+            mu = self._engine.state_arrays()[1]
+            self._prices = dict(zip(self._engine.structure.resource_names,
+                                    mu.tolist()))
+        return self._prices
+
+    @prices.setter
+    def prices(self, value: Dict[str, float]) -> None:
+        self._prices = value
+
+    def reset(self) -> None:
+        """Drop the dict: the engine's μ moved on (a round, or
+        ``VectorizedEngine.reset``)."""
+        self._prices = None
 
 
 @dataclass
@@ -229,6 +270,14 @@ class LLAOptimizer:
     backend (it must describe ``taskset`` at the configured
     ``max_latency_factor``); the always-on service uses this to skip
     recompilation across churn events.  Ignored by the scalar backend.
+
+    On the vectorized backend the facade is array-native: the engine's
+    per-round :class:`~repro.core.vectorized.StepArrays` feed the
+    convergence detector directly, :attr:`latencies`,
+    ``resource_prices.prices`` and the :class:`IterationRecord` fields
+    are built only when read, and the per-task ``allocators`` /
+    ``path_prices`` controllers of the scalar loop are not built (both
+    dicts stay empty).
     """
 
     def __init__(self, taskset: TaskSet, config: Optional[LLAConfig] = None,
@@ -248,30 +297,13 @@ class LLAOptimizer:
             self._check_utilities()
 
         self.step_policy = self.config.build_step_policy(taskset)
-        self.resource_prices = ResourcePriceUpdater(
-            taskset, initial_price=self.config.initial_resource_price
-        )
-        self.path_prices: Dict[str, PathPriceUpdater] = {
-            task.name: PathPriceUpdater(
-                task, initial_price=self.config.initial_path_price
-            )
-            for task in taskset.tasks
-        }
-        self.allocators: Dict[str, LatencyAllocator] = {
-            task.name: LatencyAllocator(
-                taskset, task, max_latency_factor=self.config.max_latency_factor
-            )
-            for task in taskset.tasks
-        }
-        self.detector = ConvergenceDetector(
-            taskset,
-            utility_tol=self.config.utility_tol,
-            window=self.config.convergence_window,
-            feasibility_tol=self.config.feasibility_tol,
-            require_feasible=self.config.require_feasible,
-            utility_floor=self.config.utility_floor,
-        )
         self._engine: Optional["Engine"] = None
+        self._engine_prices: Optional[_EnginePrices] = None
+        self._scalar_prices: Optional[ResourcePriceUpdater] = None
+        self.resource_prices: _PriceState
+        self.path_prices: Dict[str, PathPriceUpdater] = {}
+        self.allocators: Dict[str, LatencyAllocator] = {}
+        self._latencies: Optional[Dict[str, float]] = None
         if self.config.backend == "vectorized":
             if self.config.shards > 1:
                 from repro.core.sharding import ShardedEngine
@@ -285,6 +317,38 @@ class LLAOptimizer:
                                                 self.step_policy,
                                                 telemetry=self.telemetry,
                                                 structure=structure)
+            self._engine_prices = _EnginePrices(self._engine)
+            self.resource_prices = self._engine_prices
+        else:
+            self._scalar_prices = ResourcePriceUpdater(
+                taskset, initial_price=self.config.initial_resource_price
+            )
+            self.resource_prices = self._scalar_prices
+            self.path_prices = {
+                task.name: PathPriceUpdater(
+                    task, initial_price=self.config.initial_path_price
+                )
+                for task in taskset.tasks
+            }
+            self.allocators = {
+                task.name: LatencyAllocator(
+                    taskset, task,
+                    max_latency_factor=self.config.max_latency_factor,
+                )
+                for task in taskset.tasks
+            }
+        self.detector = ConvergenceDetector(
+            taskset,
+            utility_tol=self.config.utility_tol,
+            window=self.config.convergence_window,
+            feasibility_tol=self.config.feasibility_tol,
+            require_feasible=self.config.require_feasible,
+            utility_floor=self.config.utility_floor,
+            structure=self.structure,
+        )
+        #: The last round's view on the vectorized backend (``None`` before
+        #: the first round and after a reallocation).
+        self._last_step: Optional["EngineStep"] = None
         self.iteration = 0
         # Trace timestamps follow the iteration counter (the optimizer's
         # virtual clock) so identical runs write identical event streams,
@@ -292,7 +356,9 @@ class LLAOptimizer:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self.iteration))
-        self.latencies: Dict[str, float] = self._initial_latencies()
+        if self._engine is None:
+            # The engine allocated at the initial prices when it was built.
+            self._reallocate()
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)
@@ -319,10 +385,35 @@ class LLAOptimizer:
                     "(pass strict=False to run anyway)"
                 )
 
-    def _initial_latencies(self) -> Dict[str, float]:
-        """Primal initialization: one allocation pass at the initial prices."""
+    @property
+    def latencies(self) -> Dict[str, float]:
+        """The current primal iterate, per subtask.
+
+        On the vectorized backend the dict is built from the engine's
+        latency array on first read after a round (or reallocation) and
+        kept until the next one."""
+        if self._latencies is None:
+            if self._last_step is not None:
+                self._latencies = self._last_step.latencies
+            else:
+                engine = self._engine
+                assert engine is not None  # the scalar path always holds a dict
+                self._latencies = dict(zip(engine.structure.subtask_names,
+                                           engine.state_arrays()[0].tolist()))
+        return self._latencies
+
+    @latencies.setter
+    def latencies(self, value: Dict[str, float]) -> None:
+        self._latencies = value
+
+    def _reallocate(self) -> None:
+        """Primal solve at the current resource and path prices
+        (initialization, warm starts, resets)."""
         if self._engine is not None:
-            return self._engine.reallocate(self.resource_prices.prices)
+            self._engine.reallocate(self.resource_prices.prices)
+            self._last_step = None
+            self._latencies = None
+            return
         latencies: Dict[str, float] = {}
         for task in self.taskset.tasks:
             latencies.update(
@@ -331,7 +422,12 @@ class LLAOptimizer:
                     self.path_prices[task.name].prices,
                 )
             )
-        return latencies
+        self._latencies = latencies
+
+    def _initial_latencies(self) -> Dict[str, float]:
+        """Primal initialization: one allocation pass at the initial prices."""
+        self._reallocate()
+        return self.latencies
 
     def refresh_model(self) -> None:
         """Re-read share functions after an external model change.
@@ -374,7 +470,7 @@ class LLAOptimizer:
         if self._engine is not None:
             self._engine.reset_path_prices()
             self._engine.reset_step_sizes()
-        self.latencies = self._initial_latencies()
+        self._reallocate()
 
     # -- iteration ---------------------------------------------------------------
 
@@ -389,7 +485,10 @@ class LLAOptimizer:
         instrumented = self.telemetry.enabled
         if instrumented:
             started = time.perf_counter()
-            prev_prices = dict(self.resource_prices.prices)
+            prev_prices: Union[np.ndarray, Dict[str, float]] = (
+                self._engine.state_arrays()[1] if self._engine is not None
+                else dict(self.resource_prices.prices)
+            )
 
         if self._engine is not None:
             record = self._vectorized_iteration()
@@ -405,23 +504,24 @@ class LLAOptimizer:
         return record
 
     def _vectorized_iteration(self) -> IterationRecord:
-        """One iteration through the batched numpy kernel."""
-        out = self._engine.step()
-        self.latencies = out.latencies
-        self.resource_prices.prices = dict(out.resource_prices)
-        self.detector.observe(out.utility, out.latencies)
+        """One iteration through the batched numpy kernel.
+
+        Nothing per-name is built here: the detector reads the round's
+        arrays, and the record, :attr:`latencies` and
+        ``resource_prices.prices`` build their dicts when first read."""
+        from repro.core.vectorized import EngineStep
+
+        engine = self._engine
+        assert engine is not None and self._engine_prices is not None
+        arrays = engine.step_arrays()
+        step = EngineStep(engine.structure, arrays)
+        self._last_step = step
+        self._latencies = None
+        self._engine_prices.reset()
+        self.detector.observe(step.utility, loads=arrays.loads,
+                              path_lat=arrays.path_lat)
         self.iteration += 1
-        return IterationRecord(
-            iteration=self.iteration,
-            utility=out.utility,
-            latencies=out.latencies,
-            resource_prices=out.resource_prices,
-            path_prices=out.path_prices,
-            resource_loads=out.resource_loads,
-            congested_resources=out.congested_resources,
-            congested_paths=out.congested_paths,
-            critical_paths=out.critical_paths,
-        )
+        return IterationRecord.deferred(self.iteration, step.utility, step)
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
@@ -443,28 +543,31 @@ class LLAOptimizer:
         path_seconds = 0.0
         allocate_seconds = 0.0
         mark = time.perf_counter() if phases is not None else 0.0
-        new_latencies: Dict[str, float] = {}
+        prices = self._scalar_prices
+        assert prices is not None
+        old = self.latencies
+        latencies: Dict[str, float] = {}
         all_path_prices: Dict[PathKey, float] = {}
         for task in self.taskset.tasks:
             updater = self.path_prices[task.name]
-            updater.update(self.latencies, self.step_policy)
+            updater.update(old, self.step_policy)
             all_path_prices.update(updater.prices)
             if phases is not None:
                 now = time.perf_counter()
                 path_seconds += now - mark
                 mark = now
-            new_latencies.update(
+            latencies.update(
                 self.allocators[task.name].allocate(
-                    self.resource_prices.prices,
+                    prices.prices,
                     updater.prices,
-                    current=self.latencies,
+                    current=old,
                 )
             )
             if phases is not None:
                 now = time.perf_counter()
                 allocate_seconds += now - mark
                 mark = now
-        self.latencies = new_latencies
+        self._latencies = latencies
         if phases is not None:
             phases.observe("path_update", path_seconds)
             phases.observe("allocate", allocate_seconds)
@@ -472,46 +575,46 @@ class LLAOptimizer:
 
         # (2) Resources: update prices from the new latencies (the paper's
         # Resource Price Computation box).
-        self.resource_prices.update(self.latencies, self.step_policy)
+        prices.update(latencies, self.step_policy)
         if phases is not None:
             mark = phases.lap("price_update", mark)
 
         # (3) Congestion classification feeds the adaptive step-size
         # heuristic (Section 5.2).
-        loads = self.taskset.resource_loads(self.latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        congested_resources = self.resource_prices.congested(
+        loads = self.taskset.resource_loads(latencies)  # statan: disable=REP016 -- scalar-backend iteration record
+        congested_resources = prices.congested(
             loads, tol=config.congestion_tol
         )
         congested_paths: Tuple[PathKey, ...] = ()
         for task in self.taskset.tasks:
             congested_paths += self.path_prices[task.name].congested(
-                self.latencies, tol=config.congestion_tol
+                latencies, tol=config.congestion_tol
             )
         self.step_policy.observe(congested_resources, congested_paths)
         if phases is not None:
             phases.lap("classify", mark)
 
-        utility = self.taskset.total_utility(self.latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        self.detector.observe(utility, self.latencies)
+        utility = self.taskset.total_utility(latencies)  # statan: disable=REP016 -- scalar-backend iteration record
+        self.detector.observe(utility, latencies)
         self.iteration += 1
 
         return IterationRecord(
             iteration=self.iteration,
             utility=utility,
-            latencies=dict(self.latencies),
-            resource_prices=dict(self.resource_prices.prices),
+            latencies=dict(latencies),
+            resource_prices=dict(prices.prices),
             path_prices=all_path_prices,
             resource_loads=loads,
             congested_resources=congested_resources,
             congested_paths=congested_paths,
             critical_paths={
-                task.name: task.critical_path(self.latencies)[1]  # statan: disable=REP016 -- scalar-backend iteration record
+                task.name: task.critical_path(latencies)[1]  # statan: disable=REP016 -- scalar-backend iteration record
                 for task in self.taskset.tasks
             },
         )
 
     def _observe_iteration(self, record: IterationRecord,
-                           prev_prices: Dict[str, float],
+                           prev_prices: Union[np.ndarray, Dict[str, float]],
                            duration: float) -> None:
         """Feed one iteration into the metrics registry and the tracer."""
         if self._metrics is None:
@@ -535,17 +638,28 @@ class LLAOptimizer:
                     "congested-path observations (path-iterations)"),
             }
         m = self._metrics
-        deltas = [
-            abs(price - prev_prices.get(rname, 0.0))
-            for rname, price in record.resource_prices.items()
-        ]
+        if isinstance(prev_prices, np.ndarray):
+            # Vectorized: the same values in the same (canonical) order
+            # as the per-name loop below, without building the dicts.
+            assert self._last_step is not None
+            arrays = self._last_step.arrays
+            deltas = np.abs(arrays.mu - prev_prices).tolist()
+            n_congested_resources = int(np.count_nonzero(arrays.cong_r))
+            n_congested_paths = int(np.count_nonzero(arrays.cong_p))
+        else:
+            deltas = [
+                abs(price - prev_prices.get(rname, 0.0))
+                for rname, price in record.resource_prices.items()
+            ]
+            n_congested_resources = len(record.congested_resources)
+            n_congested_paths = len(record.congested_paths)
         drift = sum(deltas) / len(deltas) if deltas else 0.0
         m["iterations"].inc()
         m["timer"].observe(duration)
         m["utility"].set(record.utility)
         m["price_drift"].set(drift)
-        m["congested_resources"].inc(len(record.congested_resources))
-        m["congested_paths"].inc(len(record.congested_paths))
+        m["congested_resources"].inc(n_congested_resources)
+        m["congested_paths"].inc(n_congested_paths)
 
         tracer = self.telemetry.tracer
         if tracer.enabled:
@@ -652,7 +766,7 @@ class LLAOptimizer:
         self.detector.reset()
         self._prev_congested = None
         self.iteration = 0
-        self.latencies = self._initial_latencies()
+        self._reallocate()
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)

@@ -286,6 +286,7 @@ _SHM_FIELDS: Tuple[Tuple[str, str, str], ...] = (
     ("mu", "res", "float64"),
     ("lam", "path", "float64"),
     ("loads", "res", "float64"),
+    ("path_lat", "path", "float64"),
     ("per_task", "task", "float64"),
     ("crit", "task", "float64"),
     ("cong_r", "res", "uint8"),
@@ -322,6 +323,7 @@ def _publish(views: Mapping[str, np.ndarray], out: StepArrays) -> None:
     views["mu"][:] = out.mu
     views["lam"][:] = out.lam
     views["loads"][:] = out.loads
+    views["path_lat"][:] = out.path_lat
     views["per_task"][:] = out.per_task
     views["crit"][:] = out.crit
     views["cong_r"][:] = out.cong_r
@@ -507,11 +509,11 @@ _WORKER_CONFIG_FIELDS = (
 class ShardedEngine:
     """The :class:`VectorizedEngine` facade over a sharded plan.
 
-    Exposes the same surface the optimizer drives (``step``,
-    ``reallocate``, ``path_prices_dict``, ``reset*``, ``refresh_model``)
-    plus batched :meth:`iterate`; merged outputs are assembled in global
-    canonical order, so on separable workloads every materialized value is
-    bitwise-equal to the unsharded engine's.
+    Exposes the same surface the optimizer drives (``step_arrays``,
+    ``state_arrays``, ``reallocate``, ``path_prices_dict``, ``reset*``,
+    ``refresh_model``) plus ``step`` and batched :meth:`iterate`; merged
+    outputs are assembled in global canonical order, so on separable
+    workloads every array is bitwise-equal to the unsharded engine's.
     """
 
     def __init__(self, taskset: TaskSet, config: "LLAConfig",
@@ -548,6 +550,13 @@ class ShardedEngine:
             )
             return
         spec = gamma_spec(policy)
+        #: Per shard, its global indices by axis ("sub"/"res"/"path"/"task").
+        self._shard_index = [
+            {per: np.asarray(ids, dtype=np.intp) for per, ids in (
+                ("sub", shard.sub_ids), ("res", shard.resource_ids),
+                ("path", shard.path_ids), ("task", shard.task_ids))}
+            for shard in self.plan.specs
+        ]
         self._structures = [
             extract_shard(self.structure, shard) for shard in self.plan.specs
         ]
@@ -569,70 +578,61 @@ class ShardedEngine:
 
     # -- merge helpers ---------------------------------------------------------
 
-    def _merge(self, outs: Sequence[Mapping[str, np.ndarray]]) -> EngineStep:
-        """Scatter per-shard arrays into global order and materialize."""
+    def _gather(self, outs: Sequence[Mapping[str, np.ndarray]],
+                fields: Sequence[Tuple[str, str, str]],
+                ) -> Dict[str, np.ndarray]:
+        """Scatter per-shard arrays into fresh global-order arrays."""
         s = self.structure
-        n_task = len(s.task_names)
-        lat = np.empty(s.n_subtasks)
-        mu = np.empty(s.n_resources)
-        lam = np.empty(s.n_paths)
-        loads = np.empty(s.n_resources)
-        per_task = np.empty(n_task)
-        crit = np.empty(n_task)
-        cong_r = np.zeros(s.n_resources, dtype=bool)
-        cong_p = np.zeros(s.n_paths, dtype=bool)
-        for shard, out in zip(self.plan.specs, outs):
-            subs = np.asarray(shard.sub_ids, dtype=np.intp)
-            ress = np.asarray(shard.resource_ids, dtype=np.intp)
-            paths = np.asarray(shard.path_ids, dtype=np.intp)
-            tasks = np.asarray(shard.task_ids, dtype=np.intp)
-            lat[subs] = out["lat"]
-            mu[ress] = out["mu"]
-            lam[paths] = out["lam"]
-            loads[ress] = out["loads"]
-            per_task[tasks] = out["per_task"]
-            crit[tasks] = out["crit"]
-            cong_r[ress] = np.asarray(out["cong_r"], dtype=bool)
-            cong_p[paths] = np.asarray(out["cong_p"], dtype=bool)
-        # Same materialization as VectorizedEngine.step: utility summed
-        # sequentially in global task order.
-        utility = float(sum(per_task.tolist()))
-        return EngineStep(
-            utility=utility,
-            latencies=dict(zip(s.subtask_names, lat.tolist())),
-            resource_prices=dict(zip(s.resource_names, mu.tolist())),
-            path_prices=dict(zip(s.path_keys, lam.tolist())),
-            resource_loads=dict(zip(s.resource_names, loads.tolist())),
-            congested_resources=tuple(
-                s.resource_names[i] for i in np.flatnonzero(cong_r)
-            ),
-            congested_paths=tuple(
-                s.path_keys[i] for i in np.flatnonzero(cong_p)
-            ),
-            critical_paths=dict(zip(s.task_names, crit.tolist())),
-        )
+        sizes = {"sub": s.n_subtasks, "res": s.n_resources,
+                 "path": s.n_paths, "task": len(s.task_names)}
+        merged: Dict[str, np.ndarray] = {}
+        for name, per, dtype in fields:
+            out = np.empty(sizes[per], dtype=bool if dtype == "uint8"
+                           else np.float64)
+            for index, local in zip(self._shard_index, outs):
+                out[index[per]] = local[name]
+            merged[name] = out
+        return merged
+
+    def _merge(self, outs: Sequence[Mapping[str, np.ndarray]]) -> StepArrays:
+        """Every shard's round, as one global :class:`StepArrays`."""
+        return StepArrays(**self._gather(outs, _SHM_FIELDS))
+
+    def _shard_outputs(self) -> Sequence[Mapping[str, np.ndarray]]:
+        if self._pool is not None:
+            return [self._pool.views(i) for i in range(self.plan.n_shards)]
+        return [
+            {"lat": lat, "mu": mu, "lam": lam}
+            for lat, mu, lam in (e.state_arrays() for e in self._engines)
+        ]
 
     @staticmethod
     def _as_views(out: StepArrays) -> Dict[str, np.ndarray]:
-        return {
-            "lat": out.lat, "mu": out.mu, "lam": out.lam, "loads": out.loads,
-            "per_task": out.per_task, "crit": out.crit,
-            "cong_r": out.cong_r, "cong_p": out.cong_p,
-        }
+        return {name: getattr(out, name) for name, _, _ in _SHM_FIELDS}
 
     # -- facade ----------------------------------------------------------------
 
-    def step(self) -> EngineStep:
+    def step_arrays(self) -> StepArrays:
+        """One round on every shard, merged in global canonical order."""
         if self._inner is not None:
-            return self._inner.step()
+            return self._inner.step_arrays()
         if self._pool is not None:
             self._pool.broadcast("step")
-            return self._merge(
-                [self._pool.views(i) for i in range(self.plan.n_shards)]
-            )
+            return self._merge(self._shard_outputs())
         return self._merge(
             [self._as_views(e.step_arrays()) for e in self._engines]
         )
+
+    def step(self) -> EngineStep:
+        """One round with lazily built per-name views."""
+        return EngineStep(self.structure, self.step_arrays())
+
+    def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The global ``(latencies, μ, λ)`` (fresh arrays when sharded)."""
+        if self._inner is not None:
+            return self._inner.state_arrays()
+        merged = self._gather(self._shard_outputs(), _SHM_FIELDS[:3])
+        return merged["lat"], merged["mu"], merged["lam"]
 
     def iterate(self, n: int) -> None:
         """Run ``n`` iterations on every shard with a single sync point.
@@ -649,12 +649,11 @@ class ShardedEngine:
             for engine in self._engines:
                 engine.iterate(n)
 
-    def reallocate(self, resource_prices: Mapping[str, float]) -> Dict[str, float]:
+    def reallocate(self, resource_prices: Mapping[str, float]) -> None:
         if self._inner is not None:
-            return self._inner.reallocate(resource_prices)
-        s = self.structure
-        merged: Dict[str, float] = {}
-        if self._pool is not None:
+            self._inner.reallocate(resource_prices)
+        elif self._pool is not None:
+            s = self.structure
             for i, shard in enumerate(self.plan.specs):
                 local = {
                     s.resource_names[r]: float(
@@ -663,29 +662,13 @@ class ShardedEngine:
                     for r in shard.resource_ids
                 }
                 self._pool.send_one(i, "reallocate", local)
-                views = self._pool.views(i)
-                names = [s.subtask_names[j] for j in shard.sub_ids]
-                merged.update(zip(names, views["lat"].tolist()))
         else:
-            for shard, engine in zip(self.plan.specs, self._engines):
-                merged.update(engine.reallocate(resource_prices))
-        # Re-key into global subtask order for a deterministic facade dict.
-        return {name: merged[name] for name in s.subtask_names}
+            for engine in self._engines:
+                engine.reallocate(resource_prices)
 
     def path_prices_dict(self) -> Dict[PathKey, float]:
-        if self._inner is not None:
-            return self._inner.path_prices_dict()
-        s = self.structure
-        lam = np.empty(s.n_paths)
-        if self._pool is not None:
-            for i, shard in enumerate(self.plan.specs):
-                lam[np.asarray(shard.path_ids, dtype=np.intp)] = \
-                    self._pool.views(i)["lam"]
-        else:
-            for shard, engine in zip(self.plan.specs, self._engines):
-                lam[np.asarray(shard.path_ids, dtype=np.intp)] = \
-                    engine.state_arrays()[2]
-        return dict(zip(s.path_keys, lam.tolist()))
+        lam = self.state_arrays()[2]
+        return dict(zip(self.structure.path_keys, lam.tolist()))
 
     def reset_step_sizes(self) -> None:
         if self._inner is not None:
@@ -720,10 +703,9 @@ class ShardedEngine:
             self._inner.refresh_model()
             return
         self.structure.refresh_model()
-        for i, (shard, sub) in enumerate(
-                zip(self.plan.specs, self._structures)):
-            subs = np.asarray(shard.sub_ids, dtype=np.intp)
-            ress = np.asarray(shard.resource_ids, dtype=np.intp)
+        for i, (index, sub) in enumerate(
+                zip(self._shard_index, self._structures)):
+            subs, ress = index["sub"], index["res"]
             for name in _REFRESH_SUB_ARRAYS:
                 setattr(sub, name, getattr(self.structure, name)[subs].copy())
             for name in _REFRESH_RES_ARRAYS:

@@ -12,10 +12,10 @@ and stable across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, NamedTuple, Protocol, Tuple
 
-__all__ = ["PathKey", "IterationRecord", "OptimizationResult"]
+__all__ = ["PathKey", "IterationRecord", "OptimizationResult", "RecordSource"]
 
 
 class PathKey(NamedTuple):
@@ -28,6 +28,20 @@ class PathKey(NamedTuple):
         return f"{self.task}#p{self.index}"
 
 
+class RecordSource(Protocol):
+    """Builds a deferred :class:`IterationRecord`'s per-name fields."""
+
+    def record_field(self, name: str) -> Any:
+        """The value of field ``name`` (one of ``DEFERRED_FIELDS``)."""
+
+
+#: The fields a deferred record builds from its source on first read.
+DEFERRED_FIELDS = frozenset({
+    "latencies", "resource_prices", "path_prices", "resource_loads",
+    "congested_resources", "congested_paths", "critical_paths",
+})
+
+
 @dataclass
 class IterationRecord:
     """Everything observable about one LLA iteration.
@@ -35,6 +49,13 @@ class IterationRecord:
     Captured by the optimizer after each latency-allocation + price-update
     round; the experiment drivers build the paper's figures directly from a
     list of these.
+
+    A record made by :meth:`deferred` holds only ``iteration`` and
+    ``utility`` up front; each per-name field is built from its
+    :class:`RecordSource` on first read and cached.  The vectorized
+    backend records every round this way, so rounds whose record nobody
+    reads never pay for the dicts.  Deferred and eager records compare,
+    print, pickle and copy alike.
     """
 
     iteration: int
@@ -46,6 +67,34 @@ class IterationRecord:
     congested_resources: Tuple[str, ...]
     congested_paths: Tuple[PathKey, ...]
     critical_paths: Dict[str, float]
+
+    @classmethod
+    def deferred(cls, iteration: int, utility: float,
+                 source: RecordSource) -> "IterationRecord":
+        """A record whose per-name fields ``source`` builds on demand."""
+        record = cls.__new__(cls)
+        record.iteration = iteration
+        record.utility = utility
+        record.__dict__["_source"] = source
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes not yet set: a deferred field on
+        # its first read.  Anything else is a plain AttributeError.
+        source = self.__dict__.get("_source")
+        if source is None or name not in DEFERRED_FIELDS:
+            raise AttributeError(name)
+        value = source.record_field(name)
+        setattr(self, name, value)
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickles and copies carry the built fields, never the source
+        # (which references the whole compiled structure).
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
 
     def max_load(self) -> float:
         """Largest per-resource share sum this iteration."""

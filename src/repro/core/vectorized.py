@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,28 +66,15 @@ GammaSpec = Tuple[Union[str, float], ...]
 
 
 @dataclass
-class EngineStep:
-    """One iteration's outputs, materialized for the optimizer facade."""
-
-    utility: float
-    latencies: Dict[str, float]
-    resource_prices: Dict[str, float]
-    path_prices: Dict[PathKey, float]
-    resource_loads: Dict[str, float]
-    congested_resources: Tuple[str, ...]
-    congested_paths: Tuple[PathKey, ...]
-    critical_paths: Dict[str, float]
-
-
-@dataclass
 class StepArrays:
     """One iteration's outputs in array form (no dict materialization).
 
-    ``mu``/``lam`` alias the engine's live dual state; the rest are fresh
-    arrays.  This is what batched iteration (:meth:`VectorizedEngine.iterate`)
-    and the sharded engine's merge path consume — materializing the
-    :class:`EngineStep` dicts costs more than the arithmetic at 10k+
-    subtasks.
+    Every array is owned by this round: the engine replaces its state
+    arrays each round instead of writing into them, so a kept
+    ``StepArrays`` never changes.  This is what the optimizer facade, the
+    convergence detector, batched iteration
+    (:meth:`VectorizedEngine.iterate`) and the sharded engine's merge path
+    consume — materializing per-name dicts costs more than the arithmetic.
     """
 
     lat: np.ndarray          #: per-subtask latencies, shape (S,)
@@ -98,6 +86,61 @@ class StepArrays:
     cong_p: np.ndarray       #: congested-path mask, shape (P,) bool
     per_task: np.ndarray     #: per-task utilities, shape (T,)
     crit: np.ndarray         #: per-task critical-path latencies, shape (T,)
+
+    def utility_sum(self) -> float:
+        """Σ_i U_i, summed in task order like ``TaskSet.total_utility``
+        (sequential Python float adds, not a pairwise numpy reduction)."""
+        return float(sum(self.per_task.tolist()))
+
+
+class EngineStep:
+    """One iteration's outputs: the kernel's arrays plus per-name views.
+
+    ``utility`` is computed up front; each dict or tuple view is built
+    from :attr:`arrays` on first read and cached.  An ``EngineStep`` is
+    also the :class:`~repro.core.state.RecordSource` behind the
+    optimizer's deferred :class:`~repro.core.state.IterationRecord`.
+    """
+
+    def __init__(self, structure: TaskSetStructure,
+                 arrays: StepArrays) -> None:
+        self.structure = structure
+        self.arrays = arrays
+        self.utility = arrays.utility_sum()
+
+    @cached_property
+    def latencies(self) -> Dict[str, float]:
+        return dict(zip(self.structure.subtask_names, self.arrays.lat.tolist()))
+
+    @cached_property
+    def resource_prices(self) -> Dict[str, float]:
+        return dict(zip(self.structure.resource_names, self.arrays.mu.tolist()))
+
+    @cached_property
+    def path_prices(self) -> Dict[PathKey, float]:
+        return dict(zip(self.structure.path_keys, self.arrays.lam.tolist()))
+
+    @cached_property
+    def resource_loads(self) -> Dict[str, float]:
+        return dict(zip(self.structure.resource_names,
+                        self.arrays.loads.tolist()))
+
+    @cached_property
+    def congested_resources(self) -> Tuple[str, ...]:
+        names = self.structure.resource_names
+        return tuple(names[i] for i in np.flatnonzero(self.arrays.cong_r))
+
+    @cached_property
+    def congested_paths(self) -> Tuple[PathKey, ...]:
+        keys = self.structure.path_keys
+        return tuple(keys[i] for i in np.flatnonzero(self.arrays.cong_p))
+
+    @cached_property
+    def critical_paths(self) -> Dict[str, float]:
+        return dict(zip(self.structure.task_names, self.arrays.crit.tolist()))
+
+    def record_field(self, name: str) -> Any:
+        return getattr(self, name)
 
 
 class _FixedGammas:
@@ -253,8 +296,8 @@ class VectorizedEngine:
 
     The engine owns the dual state (``μ`` per resource, ``λ`` per path) and
     the primal iterate (latency per subtask) as float64 arrays; the
-    optimizer facade keeps its usual dict views from the materialized
-    :class:`EngineStep`.  Model mutations (error correction,
+    optimizer facade reads them as :class:`StepArrays` and builds its dict
+    views only when a caller asks.  Model mutations (error correction,
     ``set_availability``) require :meth:`refresh_model`, same contract as
     the scalar allocators' ``refresh_bounds``.
     """
@@ -319,7 +362,8 @@ class VectorizedEngine:
         return engine
 
     def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live ``(latencies, μ, λ)`` arrays (not copies)."""
+        """The live ``(latencies, μ, λ)`` arrays (not copies; the engine
+        replaces rather than mutates them)."""
         return self._lat, self._mu, self._lam
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
@@ -370,8 +414,9 @@ class VectorizedEngine:
 
     def step_arrays(self) -> StepArrays:
         """One LLA iteration in array form; mirrors ``_scalar_iteration``
-        phase by phase.  :meth:`step` materializes the dict facade on top;
-        batched callers (:meth:`iterate`, the sharded engine) stay here."""
+        phase by phase.  This is what the optimizer facade, batched
+        :meth:`iterate` and the sharded engine consume; :meth:`step` wraps
+        it in per-name views built on read."""
         s = self.structure
         tol = self.config.congestion_tol
         gr, gp = self._gammas.gammas()
@@ -425,7 +470,7 @@ class VectorizedEngine:
             phases.lap("classify", mark)
 
         # Utility (Eq. 2): per-task aggregated latency through the task's
-        # utility; summed in task order by the consumer (see step()).
+        # utility; summed in task order by StepArrays.utility_sum.
         agg = np.bincount(
             s.sub_task_ids, weights=s.weights * lat,
             minlength=len(s.task_names),
@@ -451,51 +496,31 @@ class VectorizedEngine:
 
         Returns the last iteration's :class:`StepArrays` (``None`` when
         ``n == 0``).  The trajectory is identical to ``n`` calls of
-        :meth:`step` — the dict facade is pure observation."""
+        :meth:`step` — the dict views are pure observation."""
         out: Optional[StepArrays] = None
         for _ in range(n):
             out = self.step_arrays()
         return out
 
     def step(self) -> EngineStep:
-        """One LLA iteration, materialized for the optimizer facade."""
-        s = self.structure
-        out = self.step_arrays()
-        cong_r_names = tuple(
-            s.resource_names[i] for i in np.flatnonzero(out.cong_r)
-        )
-        cong_p_keys = tuple(
-            s.path_keys[i] for i in np.flatnonzero(out.cong_p)
-        )
-        # Summed in task order like TaskSet.total_utility (sequential
-        # Python float adds, not a pairwise numpy reduction).
-        utility = float(sum(out.per_task.tolist()))
-        return EngineStep(
-            utility=utility,
-            latencies=dict(zip(s.subtask_names, out.lat.tolist())),
-            resource_prices=dict(zip(s.resource_names, out.mu.tolist())),
-            path_prices=dict(zip(s.path_keys, out.lam.tolist())),
-            resource_loads=dict(zip(s.resource_names, out.loads.tolist())),
-            congested_resources=cong_r_names,
-            congested_paths=cong_p_keys,
-            critical_paths=dict(zip(s.task_names, out.crit.tolist())),
-        )
+        """One LLA iteration with lazily built per-name views."""
+        return EngineStep(self.structure, self.step_arrays())
 
     # -- facade support ---------------------------------------------------------
 
-    def reallocate(self, resource_prices: Mapping[str, float]) -> Dict[str, float]:
+    def reallocate(self, resource_prices: Mapping[str, float]) -> None:
         """Adopt ``resource_prices`` as μ and redo the primal solve.
 
-        Serves both primal initialization and warm starts: the optimizer
-        mutates its price dict, then asks for fresh latencies; the engine
-        must keep iterating from the same μ afterwards.
+        Serves warm starts and resets: the optimizer edits its price
+        dict, then asks for fresh latencies (read back through
+        :meth:`state_arrays`); the engine keeps iterating from the same μ
+        afterwards.
         """
         s = self.structure
         self._mu = np.array(
             [resource_prices.get(r, 0.0) for r in s.resource_names]
         )
         self._lat = self._allocate()
-        return dict(zip(s.subtask_names, self._lat.tolist()))
 
     def path_prices_dict(self) -> Dict[PathKey, float]:
         return dict(zip(self.structure.path_keys, self._lam.tolist()))
@@ -510,13 +535,16 @@ class VectorizedEngine:
         Used by :meth:`LLAOptimizer.adopt_prices`: adopting external
         resource prices must not carry a previous run's path prices into
         the next primal solve."""
-        self._lam.fill(float(self.config.initial_path_price))
+        self._lam = np.full(self.structure.n_paths,
+                            float(self.config.initial_path_price))
 
     def reset(self) -> None:
         """Back to initial duals and step sizes (primal follows via
         the optimizer's ``reallocate`` call)."""
-        self._mu.fill(float(self.config.initial_resource_price))
-        self._lam.fill(float(self.config.initial_path_price))
+        s = self.structure
+        self._mu = np.full(s.n_resources,
+                           float(self.config.initial_resource_price))
+        self._lam = np.full(s.n_paths, float(self.config.initial_path_price))
         self._gammas.reset()
         self._lat = self._allocate()
 

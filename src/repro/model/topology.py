@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import ModelError
 from repro.model.events import TriggeringEvent
 from repro.model.graph import SubtaskGraph
@@ -65,6 +63,10 @@ class NetworkTopology:
 
     def __init__(self, cpu_availability: float = 1.0, cpu_lag: float = 1.0,
                  link_availability: float = 1.0, link_lag: float = 0.5) -> None:
+        # Imported here so that importing repro.model (and the CLI) does
+        # not pay for networkx unless a topology is actually built.
+        import networkx as nx
+
         self.graph = nx.Graph()
         self.cpu_availability = float(cpu_availability)
         self.cpu_lag = float(cpu_lag)
@@ -154,6 +156,8 @@ class NetworkTopology:
 
     def route(self, src: str, dst: str) -> List[Tuple[str, str]]:
         """Shortest-path route between two nodes, as link endpoints."""
+        import networkx as nx
+
         try:
             path = nx.shortest_path(self.graph, src, dst)
         except nx.NetworkXNoPath as exc:

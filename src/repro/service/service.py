@@ -23,7 +23,9 @@ enforces.  :class:`AllocationService` is that loop:
 * **snapshots** — :meth:`snapshot` / :meth:`restore` reuse the
   distributed :class:`~repro.distributed.checkpoint.CheckpointStore`,
   stamped with the task-set fingerprint so a snapshot taken for a
-  different problem demotes to a cold reset instead of restoring garbage.
+  different problem demotes to a cold reset instead of restoring garbage;
+  a snapshot whose prices are not a usable dual iterate demotes the same
+  way.
 
 Drive it synchronously with :meth:`step` (deterministic — experiments and
 benchmarks do this) or asynchronously with :meth:`run`, which iterates in
@@ -34,19 +36,17 @@ queries interleave with the optimization.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.admission import AdmissionDecision, certify_infeasible
 from repro.core.optimizer import LLAConfig, LLAOptimizer
-from repro.core.structure import (
-    TaskSetStructure,
-    structure_from_dict,
-    structure_to_dict,
-)
+from repro.core.structure import TaskSetStructure
 from repro.core.warmstart import warm_start_resource_prices
 from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import ModelError, ServiceError
@@ -274,6 +274,25 @@ def _mutated_task(old: Task, critical_time: Optional[float],
         variant=old.variant,
         trigger=old.trigger,
     )
+
+
+def _restorable_prices(state: Mapping[str, Any],
+                       resources: Iterable[str]) -> Optional[Dict[str, float]]:
+    """A snapshot's resource prices if they are a usable dual iterate:
+    a map from exactly the live resources to finite numbers ≥ 0 (the
+    projection in Eq. 8 keeps every μ_r there).  ``None`` otherwise."""
+    prices = state.get("resource_prices")
+    if not isinstance(prices, dict) or set(prices) != set(resources):
+        return None
+    usable: Dict[str, float] = {}
+    for name, value in prices.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return None
+        price = float(value)
+        if not math.isfinite(price) or price < 0.0:
+            return None
+        usable[name] = price
+    return usable
 
 
 class AllocationService:
@@ -801,33 +820,28 @@ class AllocationService:
     def snapshot(self) -> None:
         """Checkpoint the live dual state, stamped with the fingerprint.
 
-        On the vectorized backend the snapshot also embeds the compiled
-        structure's serialized payload (:func:`structure_to_dict`) — the
-        payload carries its own content fingerprint, so :meth:`restore`
-        can detect a corrupted or hand-edited compiled artifact and
-        demote to a cold reset instead of resuming on garbage arrays.
+        The state is the resource prices alone — what :meth:`restore`
+        adopts.  The store's fingerprint stamp already ties the snapshot
+        to its task set, so the compiled structure is not stored.
         """
         optimizer = self._optimizer
         if optimizer is None:
             raise ServiceError("nothing to snapshot: no tasks registered")
-        state: Dict[str, Any] = {
-            "resource_prices": dict(optimizer.resource_prices.prices),
-        }
-        structure = optimizer.structure
-        if structure is not None:
-            state["structure"] = structure_to_dict(structure)
         self._snapshots.save(
-            _SNAPSHOT_AGENT, self._total_iterations, state,
+            _SNAPSHOT_AGENT, self._total_iterations,
+            {"resource_prices": dict(optimizer.resource_prices.prices)},
             fingerprint=self._fingerprint,
         )
 
     def restore(self) -> bool:
         """Warm-restore the last snapshot into the live optimizer.
 
-        Returns ``True`` on a warm restore.  A snapshot stamped for a
-        different task set (the workload churned since :meth:`snapshot`)
-        demotes to a cold reset — restoring its prices would resume a
-        different problem's dual state — and the fallback is counted.
+        Returns ``True`` on a warm restore.  Everything else demotes to a
+        counted cold reset (``snapshot_fallbacks``): a snapshot stamped
+        for a different task set (the workload churned since
+        :meth:`snapshot`) — restoring its prices would resume a different
+        problem's dual state — and a snapshot whose prices are not a map
+        from every live resource to a finite price ≥ 0.
         """
         optimizer = self._optimizer
         if optimizer is None:
@@ -838,16 +852,10 @@ class AllocationService:
         self._epoch_iterations = 0
         self._reconverged = False
         optimizer.detector.reset()
-        if checkpoint is not None and "structure" in checkpoint.state:
-            # The embedded compiled artifact carries a content
-            # fingerprint; a payload that fails verification means the
-            # snapshot bytes were damaged after the store's own integrity
-            # check passed — treat the whole snapshot as untrustworthy.
-            try:
-                structure_from_dict(checkpoint.state["structure"])
-            except ModelError:
-                checkpoint = None
-        if checkpoint is None:
+        prices = None if checkpoint is None else _restorable_prices(
+            checkpoint.state, optimizer.taskset.resources,
+        )
+        if prices is None:
             optimizer.reset()
             self._snapshot_fallbacks += 1
             if self.telemetry.enabled:
@@ -858,7 +866,7 @@ class AllocationService:
                         "snapshot_fallback", epoch=self._epoch,
                     )
             return False
-        optimizer.adopt_prices(checkpoint.state["resource_prices"])
+        optimizer.adopt_prices(prices)
         if self.telemetry.enabled:
             self._metric("converged").set(0.0)
         return True

@@ -2,6 +2,7 @@
 snapshots, the async loop)."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -279,36 +280,71 @@ class TestSnapshots:
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
-    def test_corrupted_structure_payload_demotes_to_cold_reset(self):
-        """A snapshot whose embedded compiled-structure payload fails its
-        own fingerprint verification is untrustworthy end to end: the
-        restore must demote to a cold reset (same counter and trace event
-        as a fingerprint mismatch), never adopt the prices."""
+    @staticmethod
+    def _stored_prices(service):
+        return service.snapshots._checkpoints["service"].state[
+            "resource_prices"]
+
+    def test_nan_price_demotes_to_cold_reset(self):
+        """A snapshot holding a NaN price must not warm-restore: adopting
+        it would turn every later latency into NaN.  It demotes to a cold
+        reset (same counter and trace event as a fingerprint mismatch)."""
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        prices = self._stored_prices(service)
+        prices[sorted(prices)[0]] = float("nan")
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+        service.step(5)
+        assert all(math.isfinite(v) for v in service.allocations().values())
+
+    def test_missing_resource_price_demotes_to_cold_reset(self):
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        prices = self._stored_prices(service)
+        del prices[sorted(prices)[0]]
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    def test_unknown_resource_price_demotes_to_cold_reset(self):
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        self._stored_prices(service)["no-such-resource"] = 1.0
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    @pytest.mark.parametrize("bad", [
+        float("inf"), float("-inf"), -0.5, "1.0", None, True, [1.0],
+    ], ids=["inf", "-inf", "negative", "string", "none", "bool", "list"])
+    def test_unusable_price_demotes_to_cold_reset(self, bad):
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        prices = self._stored_prices(service)
+        prices[sorted(prices)[-1]] = bad
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    def test_snapshot_stores_prices_only_and_warm_restores(self):
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["structure"]["cost"][0] += 1.0
-        assert service.restore() is False
-        assert service.stats().snapshot_fallbacks == 1
-
-    def test_truncated_structure_payload_demotes_to_cold_reset(self):
-        service = make_service()
-        service.step(100)
-        service.snapshot()
-        stored = service.snapshots._checkpoints["service"]
-        stored.state["structure"]["sub_exec"].pop()
-        assert service.restore() is False
-        assert service.stats().snapshot_fallbacks == 1
-
-    def test_intact_structure_payload_still_warm_restores(self):
-        service = make_service()
-        service.step(100)
-        service.snapshot()
-        assert "structure" in \
-            service.snapshots._checkpoints["service"].state
+        assert set(stored.state) == {"resource_prices"}
+        assert stored.fingerprint == service.fingerprint
         assert service.restore() is True
         assert service.stats().snapshot_fallbacks == 0
+
+    def test_zero_price_still_warm_restores(self):
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        prices = self._stored_prices(service)
+        prices[sorted(prices)[0]] = 0.0
+        assert service.restore() is True
 
     def test_snapshot_needs_tasks(self):
         empty = AllocationService(make_resources())

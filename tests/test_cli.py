@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import harness
 from repro.cli import build_parser, main
 
@@ -400,3 +404,18 @@ class TestServe:
         assert args.harden
         assert args.ticks == 110
         assert args.deadline == 300.0
+
+
+class TestLazyImports:
+    def test_cli_import_skips_scipy_optimize_and_networkx(self):
+        """`repro optimize` on closed-form workloads never calls the
+        numeric solvers or the topology layer, so importing the CLI must
+        not import scipy.optimize or networkx (a fresh interpreter, since
+        this test process has long imported both)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, repro.cli; print(sorted(m for m in "
+                 "('scipy.optimize', 'networkx') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
