@@ -2,13 +2,16 @@
 
 Section 6.4 claims the optimizer's overhead is small; this bench measures
 how the per-iteration cost grows with workload size on random provisioned
-workloads (10 → 40 → 80 subtasks).  The iteration is a per-task loop of
-closed-form per-subtask solves plus per-resource sums, so the cost must
-grow roughly linearly in the subtask count — far from the quadratic-or-
-worse growth a centralized re-solve would show.
+workloads (10 → 40 → 80 subtasks).  In its per-controller form (the
+reference oracle in ``tests/oracle.py``) the iteration is a per-task loop
+of closed-form per-subtask solves plus per-resource sums, so the cost
+must grow roughly linearly in the subtask count — far from the
+quadratic-or-worse growth a centralized re-solve would show.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +19,16 @@ import _report
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.workloads.generator import GeneratorConfig, random_workload
 
+# The reference oracle lives in the test tree, under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracle import ReferenceLLA  # noqa: E402
+
 _BENCH = _report.bench_name(__file__)
 
 
 def _mean_iteration_cost(n_tasks: int, n_resources: int,
                          iterations: int = 300,
-                         backend: str = "scalar") -> float:
+                         optimizer_class=ReferenceLLA) -> float:
     taskset = random_workload(
         GeneratorConfig(
             n_tasks=n_tasks, n_resources=n_resources,
@@ -29,9 +36,7 @@ def _mean_iteration_cost(n_tasks: int, n_resources: int,
         ),
         seed=123,
     )
-    optimizer = LLAOptimizer(
-        taskset, LLAConfig(record_history=False, backend=backend)
-    )
+    optimizer = optimizer_class(taskset, LLAConfig(record_history=False))
     start = time.perf_counter()
     for _ in range(iterations):
         optimizer.step()
@@ -68,14 +73,14 @@ def test_iteration_cost_scales_linearly(benchmark):
 
 @pytest.mark.benchmark(group="scaling")
 def test_vectorized_iteration_cost(benchmark):
-    """Same sweep through the batched kernel — its per-subtask cost should
+    """Same sweep through the engine — its per-subtask cost should
     *fall* with size as the python-loop overhead amortizes (see
     ``bench_vectorized`` for the head-to-head speedup gate)."""
     def run():
         return [
-            _mean_iteration_cost(2, 6, backend="vectorized"),
-            _mean_iteration_cost(8, 12, backend="vectorized"),
-            _mean_iteration_cost(16, 24, backend="vectorized"),
+            _mean_iteration_cost(2, 6, optimizer_class=LLAOptimizer),
+            _mean_iteration_cost(8, 12, optimizer_class=LLAOptimizer),
+            _mean_iteration_cost(16, 24, optimizer_class=LLAOptimizer),
         ]
 
     points = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -51,7 +51,7 @@ def _taskset(n_tasks: int, n_resources: int):
 
 def _engine(taskset, shards: int) -> ShardedEngine:
     config = LLAConfig(
-        backend="vectorized", shards=shards,
+        shards=shards,
         shard_mode="processes" if shards > 1 else "serial",
         record_history=False, stop_on_convergence=False,
     )

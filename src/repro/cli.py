@@ -4,7 +4,7 @@ Commands:
 
 * ``experiment`` — run registered paper experiments against their claim
   checks: ``--list`` shows the registry, ``NAME`` runs one spec (with
-  uniform ``--backend/--seed/--iterations/--set key=value`` overrides and
+  uniform ``--seed/--iterations/--set key=value`` overrides and
   ``-o`` writing the RunResult artifact), ``--all`` runs every spec and
   prints the reproduction scorecard (non-zero exit on any failed claim);
 * ``optimize <workload.json>`` — load a serialized workload, run LLA, and
@@ -89,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None,
                      help="seed recorded in the artifact and forwarded "
                           "when the experiment takes one")
-    exp.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default=None,
-                     help="LLA iteration kernel (experiments with a "
-                          "'backend' parameter only)")
     exp.add_argument("--iterations", type=int, default=None,
                      help="iteration budget override (experiments with an "
                           "iteration-budget parameter only)")
@@ -109,14 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("workload", help="path to a serialized workload")
     opt.add_argument("--iterations", type=int, default=1500)
     opt.add_argument("--warm-start", action="store_true")
-    opt.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default="scalar",
-                     help="LLA iteration kernel (identical iterates; "
-                          "'vectorized' is faster on large workloads)")
     opt.add_argument("--shards", type=int, default=1,
-                     help="partition the vectorized kernel by resource-"
+                     help="partition the LLA engine by resource-"
                           "connectivity components (bitwise-identical "
-                          "iterates; implies --backend vectorized)")
+                          "iterates)")
     opt.add_argument("--shard-mode", choices=("serial", "processes"),
                      default="serial",
                      help="run shards in-process or one worker process "
@@ -240,11 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deregister/re-register churn cycles")
     srv.add_argument("--queries", type=int, default=1000,
                      help="allocation queries timed after the last epoch")
-    srv.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default="vectorized",
-                     help="optimizer backend for the live solve")
     srv.add_argument("--shards", type=int, default=1,
-                     help="shard the vectorized live solve by resource-"
+                     help="shard the live solve by resource-"
                           "connectivity components (bitwise-identical "
                           "iterates; default 1 = unsharded)")
     srv.add_argument("--shard-mode", choices=("serial", "processes"),
@@ -325,10 +314,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0
 
     if (args.all_specs
-            and (args.overrides or args.backend or args.iterations)):
+            and (args.overrides or args.iterations)):
         raise SystemExit(
-            "--set/--backend/--iterations apply to a single experiment, "
-            "not --all"
+            "--set/--iterations apply to a single experiment, not --all"
         )
 
     telemetry = Telemetry.to_file(args.trace) if args.trace else None
@@ -351,8 +339,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         try:
             run = harness.execute(
                 args.name, _parse_overrides(args.overrides),
-                seed=args.seed, backend=args.backend,
-                iterations=args.iterations, quick=args.quick,
+                seed=args.seed, iterations=args.iterations, quick=args.quick,
                 telemetry=telemetry,
             )
         except HarnessError as exc:
@@ -377,10 +364,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     taskset = _load_taskset(args.workload)
-    backend = "vectorized" if args.shards > 1 else args.backend
     config = LLAConfig(max_iterations=args.iterations,
                        warm_start=args.warm_start,
-                       backend=backend,
                        shards=args.shards,
                        shard_mode=args.shard_mode)
     telemetry = Telemetry.to_file(args.trace) if args.trace else None
@@ -748,7 +733,6 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
         payload = {
             "command": "serve",
             "mode": "hardened",
-            "backend": args.backend,
             "ticks": args.ticks,
             "healthy": healthy,
             "degraded_answers": degraded_answers,
@@ -783,8 +767,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_hardened(args, taskset, telemetry, deadline)
     service = AllocationService(
         list(taskset.resources.values()),
-        config=ServiceConfig(backend=args.backend,
-                             warm_start_churn=not args.cold,
+        config=ServiceConfig(warm_start_churn=not args.cold,
                              shards=args.shards,
                              shard_mode=args.shard_mode),
         telemetry=telemetry,
@@ -822,8 +805,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     stats = service.stats()
     mode = "cold" if args.cold else "warm"
-    print(f"always-on service ({mode} churn restarts, "
-          f"{args.backend} backend)")
+    print(f"always-on service ({mode} churn restarts)")
     print(f"  tasks {stats.tasks}, epochs {stats.epoch}, "
           f"iterations {stats.iterations}")
     print(f"  re-convergence rounds per epoch: "
@@ -843,7 +825,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         payload = {
             "command": "serve",
             "mode": mode,
-            "backend": args.backend,
             "epoch_iterations": epoch_iters,
             "cycles": cycles,
             "healthy": healthy,

@@ -26,8 +26,6 @@ from repro.core.error_correction import ErrorCorrector, ErrorSample
 from repro.core.lagrangian import KKTReport, kkt_report, lagrangian_value
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.prices import (
-    PathPriceUpdater,
-    ResourcePriceUpdater,
     update_path_price,
     update_resource_price,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "KKTReport",
     "kkt_report",
     "lagrangian_value",
-    "PathPriceUpdater",
-    "ResourcePriceUpdater",
     "update_path_price",
     "update_resource_price",
     "IterationRecord",

@@ -16,23 +16,19 @@ infeasible workload — so the detector here combines:
 Feasibility checking can be disabled to mimic a naive utility-only stop,
 which the schedulability experiments use to demonstrate the failure mode.
 
-:meth:`ConvergenceDetector.observe` takes one of two inputs.  The scalar
-backend hands it a latency dict and the verdict walks the task set's
-object graph.  The vectorized backend hands it the kernel's per-round
+:meth:`ConvergenceDetector.observe` takes the engine's per-round
 resource loads and path latencies, and the verdict is an O(R + P) compare
-against the compiled structure.  Either way the verdict is computed only
-when :meth:`converged` gets past the utility-stability test (or
+against the compiled structure.  It is computed only when
+:meth:`converged` gets past the utility-stability test (or
 :meth:`feasible` is called), at most once per observed round.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Mapping, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 import numpy as np
-
-from repro.model.task import TaskSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.structure import TaskSetStructure
@@ -45,13 +41,12 @@ class ConvergenceDetector:
 
     def __init__(
         self,
-        taskset: TaskSet,
+        structure: "TaskSetStructure",
         utility_tol: float = 1e-4,
         window: int = 10,
         feasibility_tol: float = 1e-3,
         require_feasible: bool = True,
         utility_floor: float = 1e-6,
-        structure: Optional["TaskSetStructure"] = None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window!r}")
@@ -61,49 +56,40 @@ class ConvergenceDetector:
             raise ValueError(
                 f"utility_floor must be positive, got {utility_floor!r}"
             )
-        self.taskset = taskset
+        self.structure = structure
         self.utility_tol = float(utility_tol)
         self.window = int(window)
         self.feasibility_tol = float(feasibility_tol)
         self.require_feasible = bool(require_feasible)
         self.utility_floor = float(utility_floor)
-        self.structure = structure
         self._recent: Deque[float] = deque(maxlen=window + 1)
-        self._last_latencies: Optional[Mapping[str, float]] = None
         self._last_loads: Optional[np.ndarray] = None
         self._last_path_lat: Optional[np.ndarray] = None
         self._verdict: Optional[bool] = None
 
     def reset(self) -> None:
         self._recent.clear()
-        self._last_latencies = None
         self._last_loads = None
         self._last_path_lat = None
         self._verdict = None
 
-    def observe(self, utility: float,
-                latencies: Optional[Mapping[str, float]] = None, *,
-                loads: Optional[np.ndarray] = None,
-                path_lat: Optional[np.ndarray] = None) -> None:
-        """Record one iteration's outcome.
-
-        Pass either the latency assignment (``latencies``) or the kernel's
-        arrays: ``loads`` (shape ``(R,)``) and ``path_lat`` (shape
-        ``(P,)``) in the canonical order of the ``structure`` the detector
-        was built with.  The arrays are kept, not copied; the caller must
-        not write into them afterwards.
+    def observe(self, utility: float, *, loads: np.ndarray,
+                path_lat: np.ndarray) -> None:
+        """Record one iteration's outcome: its utility, per-resource
+        ``loads`` (shape ``(R,)``) and per-path latencies ``path_lat``
+        (shape ``(P,)``) in the structure's canonical order.  The arrays
+        are kept, not copied; the caller must not write into them
+        afterwards.
         """
-        if (latencies is None) == (loads is None or path_lat is None):
+        s = self.structure
+        if loads.shape != (s.n_resources,) or \
+                path_lat.shape != (s.n_paths,):
             raise ValueError(
-                "observe needs either latencies or both loads and path_lat"
-            )
-        if latencies is None and self.structure is None:
-            raise ValueError(
-                "observing loads/path_lat needs a detector built with a "
-                "structure"
+                f"observe needs loads of shape {(s.n_resources,)} and "
+                f"path_lat of shape {(s.n_paths,)}, got {loads.shape} "
+                f"and {path_lat.shape}"
             )
         self._recent.append(float(utility))
-        self._last_latencies = None if latencies is None else dict(latencies)
         self._last_loads = loads
         self._last_path_lat = path_lat
         self._verdict = None
@@ -132,20 +118,14 @@ class ConvergenceDetector:
         return self._verdict
 
     def _judge(self) -> bool:
-        tol = self.feasibility_tol
-        if self._last_loads is not None and self._last_path_lat is not None:
-            s = self.structure
-            assert s is not None  # observe checked it
-            # Same comparisons as TaskSet.constraint_violations, per array
-            # element: load > B_r + tol, path latency > C_i + tol.
-            return not (
-                bool(np.any(self._last_loads > s.availability + tol))
-                or bool(np.any(self._last_path_lat > s.path_crit + tol))
-            )
-        if self._last_latencies is None:
+        if self._last_loads is None or self._last_path_lat is None:
             return False
-        return self.taskset.is_feasible(  # statan: disable=REP016 -- scalar-backend feasibility fallback
-            self._last_latencies, tol=tol
+        s, tol = self.structure, self.feasibility_tol
+        # Same comparisons as TaskSet.constraint_violations, per array
+        # element: load > B_r + tol, path latency > C_i + tol.
+        return not (
+            bool(np.any(self._last_loads > s.availability + tol))
+            or bool(np.any(self._last_path_lat > s.path_crit + tol))
         )
 
     def converged(self) -> bool:

@@ -13,7 +13,9 @@ describe, in order:
 3. the step-size policy observes which resources/paths are congested (the
    adaptive heuristic of Section 5.2).
 
-The message-passing form with explicit controller/resource agents lives in
+All three run as whole-array operations in the batched engine
+(:mod:`repro.core.vectorized`), whatever the utility family.  The
+message-passing form with explicit controller/resource agents lives in
 :mod:`repro.distributed`; it produces identical iterates under a lossless
 synchronous bus (asserted by integration tests).
 """
@@ -24,8 +26,8 @@ import logging
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional,
-    Protocol, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -38,11 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     Engine = Union["VectorizedEngine", "ShardedEngine"]
 
 from repro.errors import OptimizationError
-from repro.core.allocation import LatencyAllocator
 from repro.core.convergence import ConvergenceDetector
-from repro.core.prices import PathPriceUpdater, ResourcePriceUpdater
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
-from repro.core.phases import PhaseTimers
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
 from repro.model.task import TaskSet
 from repro.model.utility import check_concavity
@@ -53,22 +52,12 @@ __all__ = ["LLAConfig", "LLAOptimizer"]
 logger = logging.getLogger(__name__)
 
 
-class _PriceState(Protocol):
-    """What the facade exposes as ``resource_prices`` on either backend."""
-
-    prices: Dict[str, float]
-
-    def reset(self) -> None: ...
-
-
 class _EnginePrices:
-    """``resource_prices`` on the vectorized backend, where μ lives in the
-    engine.
+    """``resource_prices``: a per-name view of the engine's μ.
 
-    The per-name dict is built from the engine's μ on first read after a
-    round and kept until the next round, so a caller may edit it in place
-    and then ask for a reallocation (:meth:`LLAOptimizer.adopt_prices`),
-    exactly as with the scalar :class:`ResourcePriceUpdater`.
+    The dict is built from the engine's μ on first read after a round and
+    kept until the next round, so a caller may edit it in place and then
+    ask for a reallocation (:meth:`LLAOptimizer.adopt_prices`).
     """
 
     def __init__(self, engine: "Engine") -> None:
@@ -132,21 +121,13 @@ class LLAConfig:
         equilibrium value (see :mod:`repro.core.warmstart`) instead of
         ``initial_resource_price``.  Exact in the overprovisioned regime;
         a large head start elsewhere.
-    backend:
-        ``"scalar"`` (the reference per-subtask/per-path loops) or
-        ``"vectorized"`` (the batched numpy kernel of
-        :mod:`repro.core.vectorized`).  Both produce the same iterates and
-        the same :class:`~repro.core.state.IterationRecord` stream; the
-        vectorized backend requires the paper's closed-form model family
-        (power-law shares, linear or inelastic utilities).
     shards:
-        Maximum number of shards for the vectorized backend (see
+        Maximum number of shards for the engine (see
         :mod:`repro.core.sharding`).  The compiled structure is partitioned
         by resource-connectivity components — never splitting one — so a
         sharded run is bitwise-identical to an unsharded one; the effective
         count is capped by the number of components.  ``1`` (the default)
-        runs the plain unsharded kernel.  Requires ``backend="vectorized"``
-        and a ``FixedStepSize``/``AdaptiveStepSize`` step policy.
+        runs the plain unsharded kernel.
     shard_mode:
         ``"serial"`` runs every shard engine in-process (deterministic,
         no IPC; still wins on separable workloads because per-shard work
@@ -171,7 +152,6 @@ class LLAConfig:
     max_latency_factor: float = 1.0
     stop_on_convergence: bool = True
     warm_start: bool = False
-    backend: str = "scalar"
     shards: int = 1
     shard_mode: str = "serial"
 
@@ -182,11 +162,6 @@ class LLAConfig:
         if self.max_iterations < 1:
             raise OptimizationError(
                 f"max_iterations must be >= 1, got {self.max_iterations!r}"
-            )
-        if self.backend not in ("scalar", "vectorized"):
-            raise OptimizationError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'scalar' or 'vectorized'"
             )
         if self.initial_gamma <= 0.0:
             raise OptimizationError(
@@ -234,11 +209,6 @@ class LLAConfig:
             raise OptimizationError(
                 f"shards must be >= 1, got {self.shards!r}"
             )
-        if self.shards > 1 and self.backend != "vectorized":
-            raise OptimizationError(
-                "shards > 1 requires backend='vectorized', "
-                f"got backend={self.backend!r}"
-            )
         if self.shard_mode not in ("serial", "processes"):
             raise OptimizationError(
                 f"unknown shard_mode {self.shard_mode!r}; "
@@ -246,9 +216,12 @@ class LLAConfig:
             )
 
     def build_step_policy(self, taskset: TaskSet) -> StepSizePolicy:
+        """The step policy of a run over ``taskset``: ``step_policy``, or
+        the paper's adaptive policy at ``initial_gamma`` (policies are
+        parameter records, so one serves any task set)."""
         if self.step_policy is not None:
             return self.step_policy
-        return AdaptiveStepSize(taskset, initial_gamma=self.initial_gamma)
+        return AdaptiveStepSize(initial_gamma=self.initial_gamma)
 
     @staticmethod
     def fixed(gamma: float, **kwargs: Any) -> "LLAConfig":
@@ -260,24 +233,21 @@ class LLAOptimizer:
     """Runs LLA on a :class:`~repro.model.task.TaskSet`.
 
     The optimizer owns the dual state (prices) and the last primal iterate
-    (latencies).  :meth:`run` executes a batch of iterations;
-    :meth:`step` executes one, so callers that interleave optimization with
-    a running system (the Section 6 prototype pattern) can drive it
-    manually.
+    (latencies) through its engine (:mod:`repro.core.vectorized`, or
+    :mod:`repro.core.sharding` when ``shards > 1``).  :meth:`run` executes
+    a batch of iterations; :meth:`step` executes one, so callers that
+    interleave optimization with a running system (the Section 6
+    prototype pattern) can drive it manually.
 
     ``structure`` optionally supplies a precompiled
-    :class:`~repro.core.structure.TaskSetStructure` for the vectorized
-    backend (it must describe ``taskset`` at the configured
-    ``max_latency_factor``); the always-on service uses this to skip
-    recompilation across churn events.  Ignored by the scalar backend.
+    :class:`~repro.core.structure.TaskSetStructure` (it must describe
+    ``taskset`` at the configured ``max_latency_factor``); the always-on
+    service uses this to skip recompilation across churn events.
 
-    On the vectorized backend the facade is array-native: the engine's
-    per-round :class:`~repro.core.vectorized.StepArrays` feed the
-    convergence detector directly, :attr:`latencies`,
-    ``resource_prices.prices`` and the :class:`IterationRecord` fields
-    are built only when read, and the per-task ``allocators`` /
-    ``path_prices`` controllers of the scalar loop are not built (both
-    dicts stay empty).
+    The facade is array-native: the engine's per-round
+    :class:`~repro.core.vectorized.StepArrays` feed the convergence
+    detector directly, and :attr:`latencies`, ``resource_prices.prices``
+    and the :class:`IterationRecord` fields are built only when read.
     """
 
     def __init__(self, taskset: TaskSet, config: Optional[LLAConfig] = None,
@@ -289,7 +259,6 @@ class LLAOptimizer:
         self.on_iteration = on_iteration
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._metrics: Optional[Dict[str, Any]] = None
-        self._phases: Optional[PhaseTimers] = None
         self._prev_congested: Optional[
             Tuple[FrozenSet[str], FrozenSet[PathKey]]
         ] = None
@@ -297,57 +266,31 @@ class LLAOptimizer:
             self._check_utilities()
 
         self.step_policy = self.config.build_step_policy(taskset)
-        self._engine: Optional["Engine"] = None
-        self._engine_prices: Optional[_EnginePrices] = None
-        self._scalar_prices: Optional[ResourcePriceUpdater] = None
-        self.resource_prices: _PriceState
-        self.path_prices: Dict[str, PathPriceUpdater] = {}
-        self.allocators: Dict[str, LatencyAllocator] = {}
-        self._latencies: Optional[Dict[str, float]] = None
-        if self.config.backend == "vectorized":
-            if self.config.shards > 1:
-                from repro.core.sharding import ShardedEngine
-                self._engine = ShardedEngine(taskset, self.config,
-                                             self.step_policy,
-                                             telemetry=self.telemetry,
-                                             structure=structure)
-            else:
-                from repro.core.vectorized import VectorizedEngine
-                self._engine = VectorizedEngine(taskset, self.config,
-                                                self.step_policy,
-                                                telemetry=self.telemetry,
-                                                structure=structure)
-            self._engine_prices = _EnginePrices(self._engine)
-            self.resource_prices = self._engine_prices
+        self._engine: "Engine"
+        if self.config.shards > 1:
+            from repro.core.sharding import ShardedEngine
+            self._engine = ShardedEngine(taskset, self.config,
+                                         self.step_policy,
+                                         telemetry=self.telemetry,
+                                         structure=structure)
         else:
-            self._scalar_prices = ResourcePriceUpdater(
-                taskset, initial_price=self.config.initial_resource_price
-            )
-            self.resource_prices = self._scalar_prices
-            self.path_prices = {
-                task.name: PathPriceUpdater(
-                    task, initial_price=self.config.initial_path_price
-                )
-                for task in taskset.tasks
-            }
-            self.allocators = {
-                task.name: LatencyAllocator(
-                    taskset, task,
-                    max_latency_factor=self.config.max_latency_factor,
-                )
-                for task in taskset.tasks
-            }
+            from repro.core.vectorized import VectorizedEngine
+            self._engine = VectorizedEngine(taskset, self.config,
+                                            self.step_policy,
+                                            telemetry=self.telemetry,
+                                            structure=structure)
+        self.resource_prices = _EnginePrices(self._engine)
+        self._latencies: Optional[Dict[str, float]] = None
         self.detector = ConvergenceDetector(
-            taskset,
+            self.structure,
             utility_tol=self.config.utility_tol,
             window=self.config.convergence_window,
             feasibility_tol=self.config.feasibility_tol,
             require_feasible=self.config.require_feasible,
             utility_floor=self.config.utility_floor,
-            structure=self.structure,
         )
-        #: The last round's view on the vectorized backend (``None`` before
-        #: the first round and after a reallocation).
+        #: The last round's view (``None`` before the first round and
+        #: after a reallocation).
         self._last_step: Optional["EngineStep"] = None
         self.iteration = 0
         # Trace timestamps follow the iteration counter (the optimizer's
@@ -356,21 +299,16 @@ class LLAOptimizer:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self.iteration))
-        if self._engine is None:
-            # The engine allocated at the initial prices when it was built.
-            self._reallocate()
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)
 
     @property
-    def structure(self) -> Optional["TaskSetStructure"]:
-        """The compiled structure behind the vectorized backend (``None``
-        on the scalar backend).  Consumers that can read allocation facts
-        from the structure's arrays should prefer it over re-traversing
-        the :class:`~repro.model.task.TaskSet` object graph (REP016)."""
-        if self._engine is None:
-            return None
+    def structure(self) -> "TaskSetStructure":
+        """The compiled structure behind the engine.  Consumers that can
+        read allocation facts from the structure's arrays should prefer
+        it over re-traversing the :class:`~repro.model.task.TaskSet`
+        object graph (REP016)."""
         return self._engine.structure
 
     def _check_utilities(self) -> None:
@@ -389,40 +327,44 @@ class LLAOptimizer:
     def latencies(self) -> Dict[str, float]:
         """The current primal iterate, per subtask.
 
-        On the vectorized backend the dict is built from the engine's
-        latency array on first read after a round (or reallocation) and
-        kept until the next one."""
+        The dict is built from the engine's latency array on first read
+        after a round (or reallocation) and kept until the next one."""
         if self._latencies is None:
             if self._last_step is not None:
                 self._latencies = self._last_step.latencies
             else:
-                engine = self._engine
-                assert engine is not None  # the scalar path always holds a dict
-                self._latencies = dict(zip(engine.structure.subtask_names,
-                                           engine.state_arrays()[0].tolist()))
+                self._latencies = dict(zip(self.structure.subtask_names,
+                                           self.latency_array.tolist()))
         return self._latencies
 
     @latencies.setter
     def latencies(self, value: Dict[str, float]) -> None:
         self._latencies = value
 
+    @property
+    def latency_array(self) -> np.ndarray:
+        """The current primal iterate in the structure's canonical subtask
+        order: the engine's own array, which it replaces (never writes
+        into) each round.  Read it, do not modify it."""
+        return self._engine.state_arrays()[0]
+
+    @property
+    def utility_array(self) -> np.ndarray:
+        """Per-task utilities ``U_i`` at the current iterate, in the
+        structure's canonical task order (the round's own array after a
+        step; read it, do not modify it)."""
+        if self._last_step is not None:
+            return self._last_step.arrays.per_task
+        from repro.core.vectorized import aggregate_latencies, task_utilities
+        s = self.structure
+        return task_utilities(s, aggregate_latencies(s, self.latency_array))
+
     def _reallocate(self) -> None:
         """Primal solve at the current resource and path prices
-        (initialization, warm starts, resets)."""
-        if self._engine is not None:
-            self._engine.reallocate(self.resource_prices.prices)
-            self._last_step = None
-            self._latencies = None
-            return
-        latencies: Dict[str, float] = {}
-        for task in self.taskset.tasks:
-            latencies.update(
-                self.allocators[task.name].allocate(
-                    self.resource_prices.prices,
-                    self.path_prices[task.name].prices,
-                )
-            )
-        self._latencies = latencies
+        (warm starts, resets, price edits)."""
+        self._engine.reallocate(self.resource_prices.prices)
+        self._last_step = None
+        self._latencies = None
 
     def _initial_latencies(self) -> Dict[str, float]:
         """Primal initialization: one allocation pass at the initial prices."""
@@ -433,20 +375,16 @@ class LLAOptimizer:
         """Re-read share functions after an external model change.
 
         Error correction swaps share functions on the task set (and
-        resource availabilities may shift at run time); allocator latency
-        bounds cache ``min_latency`` and must be recomputed, and the
-        vectorized backend must recompile its model arrays.
+        resource availabilities may shift at run time); the compiled
+        share coefficients and latency bounds must be recomputed.
         """
-        for allocator in self.allocators.values():
-            allocator.refresh_bounds()
-        if self._engine is not None:
-            self._engine.refresh_model()
+        self._engine.refresh_model()
 
     def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
         """Adopt ``resource_prices`` as the dual iterate, consistently.
 
         Installs the given μ map, resets every path price λ to the
-        configured initial value (both backends), snaps step-size
+        configured initial value, snaps step-size
         escalation back to the initial γ, clears the convergence window,
         and refreshes the primal iterate — afterwards the optimizer state
         is exactly that of a fresh instance constructed at these resource
@@ -463,13 +401,9 @@ class LLAOptimizer:
         self.resource_prices.prices.update(
             {rname: float(price) for rname, price in resource_prices.items()}
         )
-        for updater in self.path_prices.values():
-            updater.reset()
-        self.step_policy.reset()
         self.detector.reset()
-        if self._engine is not None:
-            self._engine.reset_path_prices()
-            self._engine.reset_step_sizes()
+        self._engine.reset_path_prices()
+        self._engine.reset_step_sizes()
         self._reallocate()
 
     # -- iteration ---------------------------------------------------------------
@@ -479,21 +413,14 @@ class LLAOptimizer:
 
         Telemetry never influences the iterates: instrumentation only reads
         optimizer state, so a traced run is bit-identical to an untraced
-        one (asserted by a regression test).  Both backends flow through
-        here, so tracing, metrics and ``on_iteration`` behave identically.
+        one (asserted by a regression test).
         """
         instrumented = self.telemetry.enabled
         if instrumented:
             started = time.perf_counter()
-            prev_prices: Union[np.ndarray, Dict[str, float]] = (
-                self._engine.state_arrays()[1] if self._engine is not None
-                else dict(self.resource_prices.prices)
-            )
+            prev_prices = self._engine.state_arrays()[1]
 
-        if self._engine is not None:
-            record = self._vectorized_iteration()
-        else:
-            record = self._scalar_iteration()
+        record = self._iteration()
 
         if instrumented:
             self._observe_iteration(
@@ -503,8 +430,8 @@ class LLAOptimizer:
             self.on_iteration(record)
         return record
 
-    def _vectorized_iteration(self) -> IterationRecord:
-        """One iteration through the batched numpy kernel.
+    def _iteration(self) -> IterationRecord:
+        """One iteration through the engine.
 
         Nothing per-name is built here: the detector reads the round's
         arrays, and the record, :attr:`latencies` and
@@ -512,109 +439,18 @@ class LLAOptimizer:
         from repro.core.vectorized import EngineStep
 
         engine = self._engine
-        assert engine is not None and self._engine_prices is not None
         arrays = engine.step_arrays()
         step = EngineStep(engine.structure, arrays)
         self._last_step = step
         self._latencies = None
-        self._engine_prices.reset()
+        self.resource_prices.reset()
         self.detector.observe(step.utility, loads=arrays.loads,
                               path_lat=arrays.path_lat)
         self.iteration += 1
         return IterationRecord.deferred(self.iteration, step.utility, step)
 
-    def _phase_timers(self) -> Optional[PhaseTimers]:
-        """Phase timers while metrics are collected; ``None`` when off."""
-        if not self.telemetry.registry.enabled:
-            return None
-        if self._phases is None:
-            self._phases = PhaseTimers(self.telemetry)
-        return self._phases
-
-    def _scalar_iteration(self) -> IterationRecord:
-        """One iteration through the reference per-task/per-resource loops."""
-        config = self.config
-        phases = self._phase_timers()
-
-        # (1) Task controllers: update path prices from the previous
-        # latencies, then allocate new latencies (the paper's Latency
-        # Allocation box, steps 1–4).  The per-task loop interleaves the
-        # two phases, so their wall times are accumulated separately.
-        path_seconds = 0.0
-        allocate_seconds = 0.0
-        mark = time.perf_counter() if phases is not None else 0.0
-        prices = self._scalar_prices
-        assert prices is not None
-        old = self.latencies
-        latencies: Dict[str, float] = {}
-        all_path_prices: Dict[PathKey, float] = {}
-        for task in self.taskset.tasks:
-            updater = self.path_prices[task.name]
-            updater.update(old, self.step_policy)
-            all_path_prices.update(updater.prices)
-            if phases is not None:
-                now = time.perf_counter()
-                path_seconds += now - mark
-                mark = now
-            latencies.update(
-                self.allocators[task.name].allocate(
-                    prices.prices,
-                    updater.prices,
-                    current=old,
-                )
-            )
-            if phases is not None:
-                now = time.perf_counter()
-                allocate_seconds += now - mark
-                mark = now
-        self._latencies = latencies
-        if phases is not None:
-            phases.observe("path_update", path_seconds)
-            phases.observe("allocate", allocate_seconds)
-            mark = time.perf_counter()
-
-        # (2) Resources: update prices from the new latencies (the paper's
-        # Resource Price Computation box).
-        prices.update(latencies, self.step_policy)
-        if phases is not None:
-            mark = phases.lap("price_update", mark)
-
-        # (3) Congestion classification feeds the adaptive step-size
-        # heuristic (Section 5.2).
-        loads = self.taskset.resource_loads(latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        congested_resources = prices.congested(
-            loads, tol=config.congestion_tol
-        )
-        congested_paths: Tuple[PathKey, ...] = ()
-        for task in self.taskset.tasks:
-            congested_paths += self.path_prices[task.name].congested(
-                latencies, tol=config.congestion_tol
-            )
-        self.step_policy.observe(congested_resources, congested_paths)
-        if phases is not None:
-            phases.lap("classify", mark)
-
-        utility = self.taskset.total_utility(latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        self.detector.observe(utility, latencies)
-        self.iteration += 1
-
-        return IterationRecord(
-            iteration=self.iteration,
-            utility=utility,
-            latencies=dict(latencies),
-            resource_prices=dict(prices.prices),
-            path_prices=all_path_prices,
-            resource_loads=loads,
-            congested_resources=congested_resources,
-            congested_paths=congested_paths,
-            critical_paths={
-                task.name: task.critical_path(latencies)[1]  # statan: disable=REP016 -- scalar-backend iteration record
-                for task in self.taskset.tasks
-            },
-        )
-
     def _observe_iteration(self, record: IterationRecord,
-                           prev_prices: Union[np.ndarray, Dict[str, float]],
+                           prev_prices: np.ndarray,
                            duration: float) -> None:
         """Feed one iteration into the metrics registry and the tracer."""
         if self._metrics is None:
@@ -638,21 +474,12 @@ class LLAOptimizer:
                     "congested-path observations (path-iterations)"),
             }
         m = self._metrics
-        if isinstance(prev_prices, np.ndarray):
-            # Vectorized: the same values in the same (canonical) order
-            # as the per-name loop below, without building the dicts.
-            assert self._last_step is not None
-            arrays = self._last_step.arrays
-            deltas = np.abs(arrays.mu - prev_prices).tolist()
-            n_congested_resources = int(np.count_nonzero(arrays.cong_r))
-            n_congested_paths = int(np.count_nonzero(arrays.cong_p))
-        else:
-            deltas = [
-                abs(price - prev_prices.get(rname, 0.0))
-                for rname, price in record.resource_prices.items()
-            ]
-            n_congested_resources = len(record.congested_resources)
-            n_congested_paths = len(record.congested_paths)
+        # Per-resource |Δμ| in canonical order, without building dicts.
+        assert self._last_step is not None
+        arrays = self._last_step.arrays
+        deltas = np.abs(arrays.mu - prev_prices).tolist()
+        n_congested_resources = int(np.count_nonzero(arrays.cong_r))
+        n_congested_paths = int(np.count_nonzero(arrays.cong_p))
         drift = sum(deltas) / len(deltas) if deltas else 0.0
         m["iterations"].inc()
         m["timer"].observe(duration)
@@ -717,7 +544,7 @@ class LLAOptimizer:
                 break
         if not converged and self.detector.converged():
             converged = True
-        final_utility = self.taskset.total_utility(self.latencies)  # statan: disable=REP016 -- one end-of-run summary; also serves the scalar backend
+        final_utility = self._final_utility()
         if converged:
             if tracer.enabled:
                 tracer.emit("convergence", iteration=self.iteration,
@@ -745,28 +572,23 @@ class LLAOptimizer:
             history=history,
         )
 
+    def _final_utility(self) -> float:
+        """Σ_i U_i at the current iterate, summed in task order."""
+        return float(sum(self.utility_array.tolist()))
+
     def _collect_path_prices(self) -> Dict[PathKey, float]:
-        """Current λ_p map, whichever backend owns the dual state."""
-        if self._engine is not None:
-            return self._engine.path_prices_dict()
-        return {
-            key: price
-            for updater in self.path_prices.values()
-            for key, price in updater.prices.items()
-        }
+        """Current λ_p map."""
+        return self._engine.path_prices_dict()
 
     def reset(self) -> None:
         """Restore initial prices, step sizes and latencies."""
+        self._engine.reset()
         self.resource_prices.reset()
-        for updater in self.path_prices.values():
-            updater.reset()
-        self.step_policy.reset()
-        if self._engine is not None:
-            self._engine.reset()
         self.detector.reset()
         self._prev_congested = None
         self.iteration = 0
-        self._reallocate()
+        self._last_step = None
+        self._latencies = None
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)

@@ -1,18 +1,18 @@
-"""Per-phase wall-time timers for the LLA iteration kernels.
+"""Per-phase wall-time timers for the LLA iteration engine.
 
 One LLA iteration decomposes into the paper's four boxes — path-price
 update (Eq. 9), latency allocation (Eq. 7), resource-price update
 (Eq. 8) and congestion classification (the Section 5.2 feedback) — and
 performance questions are almost always *which phase* got slower, not
-whether the whole iteration did.  Both the scalar reference kernel and
-the vectorized engine record into the same timer names::
+whether the whole iteration did.  The engine records into these timer
+names::
 
     lla.phase.path_update_seconds
     lla.phase.allocate_seconds
     lla.phase.price_update_seconds
     lla.phase.classify_seconds
 
-so backend comparisons (``repro bench-diff``) line up phase by phase.
+so run comparisons (``repro bench-diff``) line up phase by phase.
 Timing reads optimizer state only — it can never influence the iterates
 (the traced-run bit-identity tests cover this).
 """

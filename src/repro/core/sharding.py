@@ -11,8 +11,8 @@ union-find over the subtask→resource incidence and packs them into at most
 Components are never split across shards.  Splitting one would make its
 resources *boundary* resources whose price vectors must be exchanged every
 round — and, worse, would split the per-resource ``bincount`` reductions
-into differently-ordered partial sums, breaking the bitwise scalar parity
-the backends guarantee.  Keeping components whole makes the boundary
+into differently-ordered partial sums, breaking the engine's bitwise
+parity with the per-name iteration.  Keeping components whole makes the boundary
 price-exchange set **empty**: each shard's round is exactly the global
 round restricted to its rows, every partial sum sees the same addends in
 the same order, and a sharded trajectory is bitwise-identical to the
@@ -54,7 +54,6 @@ from repro.core.state import PathKey
 from repro.core.stepsize import StepSizePolicy
 from repro.core.structure import (
     TaskSetStructure,
-    compile_structure,
     structure_from_dict,
     structure_to_dict,
 )
@@ -65,6 +64,7 @@ from repro.core.vectorized import (
     VectorizedEngine,
     gamma_spec,
     make_gamma_supplier,
+    resolve_structure,
 )
 from repro.model.task import TaskSet
 from repro.telemetry import Telemetry
@@ -264,15 +264,14 @@ def extract_shard(structure: TaskSetStructure,
         ([0], np.cumsum(path_counts))
     ).astype(np.intp)[:-1]
 
-    sub.path_res_inc = structure.path_res_inc[np.ix_(paths, ress)].copy()
-
     # Model arrays: plain row selections.
     for name in _REFRESH_SUB_ARRAYS + ("weights", "pull_base"):
         setattr(sub, name, getattr(structure, name)[subs].copy())
     for name in _REFRESH_RES_ARRAYS:
         setattr(sub, name, getattr(structure, name)[ress].copy())
     sub.path_crit = structure.path_crit[paths].copy()
-    for name in ("ut_kind", "ut_kc", "ut_slope", "ut_umax", "ut_crit"):
+    for name in ("ut_kind", "ut_kc", "ut_slope", "ut_umax", "ut_crit",
+                 "ut_shape"):
         setattr(sub, name, getattr(structure, name)[tasks].copy())
     return sub
 
@@ -520,22 +519,7 @@ class ShardedEngine:
                  policy: StepSizePolicy,
                  telemetry: Optional[Telemetry] = None,
                  structure: Optional[TaskSetStructure] = None) -> None:
-        if structure is not None:
-            if structure.taskset is not taskset:
-                raise OptimizationError(
-                    "precompiled structure is bound to a different task set"
-                )
-            if structure.max_latency_factor != float(config.max_latency_factor):
-                raise OptimizationError(
-                    "precompiled structure was built at "
-                    f"max_latency_factor={structure.max_latency_factor!r}, "
-                    f"config wants {config.max_latency_factor!r}"
-                )
-            self.structure = structure
-        else:
-            self.structure = compile_structure(
-                taskset, max_latency_factor=config.max_latency_factor
-            )
+        self.structure = resolve_structure(taskset, config, structure)
         self.config = config
         self.plan = plan_shards(self.structure, config.shards)
         self._inner: Optional[VectorizedEngine] = None

@@ -52,8 +52,8 @@ class IterationRecord:
 
     A record made by :meth:`deferred` holds only ``iteration`` and
     ``utility`` up front; each per-name field is built from its
-    :class:`RecordSource` on first read and cached.  The vectorized
-    backend records every round this way, so rounds whose record nobody
+    :class:`RecordSource` on first read and cached.  The optimizer
+    records every round this way, so rounds whose record nobody
     reads never pay for the dicts.  Deferred and eager records compare,
     print, pickle and copy alike.
     """

@@ -10,71 +10,45 @@ fixed step sizes (Figure 5: γ = 0.1 converges in >1000 iterations, γ = 1 in
    and the step sizes of every path traversing it;
 3. as soon as the resource becomes uncongested, revert to the initial value.
 
-Both policies are implemented behind one small interface so the optimizer
-and the distributed agents are policy-agnostic.
+Both policies are parameter records: the iteration engine turns them into
+per-round γ arrays (:func:`repro.core.vectorized.gamma_spec`), and the
+distributed agents keep their own per-price doubling state
+(:class:`repro.distributed.agents.LocalGamma`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Set, Tuple
-
 from repro.errors import OptimizationError
-from repro.core.state import PathKey
-from repro.model.task import TaskSet
 
 __all__ = ["StepSizePolicy", "FixedStepSize", "AdaptiveStepSize"]
 
 
-class StepSizePolicy(ABC):
-    """Supplies ``γ_r`` per resource and ``γ_p`` per path each iteration."""
-
-    @abstractmethod
-    def resource_gamma(self, resource: str) -> float:
-        """Current step size for a resource price update."""
-
-    @abstractmethod
-    def path_gamma(self, path: PathKey) -> float:
-        """Current step size for a path price update."""
-
-    def observe(self, congested_resources: Iterable[str],
-                congested_paths: Iterable[PathKey]) -> None:
-        """Feed back this iteration's congestion state.
-
-        Called once per iteration after constraint evaluation; fixed
-        policies ignore it.
-        """
-
-    def reset(self) -> None:
-        """Return to the initial configuration (between optimizer runs)."""
+class StepSizePolicy:
+    """Base of the step-size rules for ``γ_r`` per resource and ``γ_p`` per
+    path (Eqs. 8–9)."""
 
 
 class FixedStepSize(StepSizePolicy):
     """A single constant γ for all resources and paths.
 
     Section 5.2 assumes ``γ_r = γ_p = γ`` for a fair trade-off between
-    resource allocation and latency; distinct values are still supported
-    for ablations.
+    resource allocation and latency; a distinct ``path_gamma`` is still
+    supported for ablations.
     """
 
     def __init__(self, gamma: float, path_gamma: float | None = None) -> None:
         if gamma <= 0.0:
             raise OptimizationError(f"step size must be positive, got {gamma!r}")
-        self._gamma = float(gamma)
-        self._path_gamma = float(path_gamma) if path_gamma is not None else self._gamma
-        if self._path_gamma <= 0.0:
+        self.gamma = float(gamma)
+        self.path_gamma = float(path_gamma) if path_gamma is not None \
+            else self.gamma
+        if self.path_gamma <= 0.0:
             raise OptimizationError(
                 f"path step size must be positive, got {path_gamma!r}"
             )
 
-    def resource_gamma(self, resource: str) -> float:
-        return self._gamma
-
-    def path_gamma(self, path: PathKey) -> float:
-        return self._path_gamma
-
     def __repr__(self) -> str:
-        return f"FixedStepSize(gamma={self._gamma}, path_gamma={self._path_gamma})"
+        return f"FixedStepSize(gamma={self.gamma}, path_gamma={self.path_gamma})"
 
 
 class AdaptiveStepSize(StepSizePolicy):
@@ -89,16 +63,16 @@ class AdaptiveStepSize(StepSizePolicy):
     a stalled capacity constraint.  The moment a trigger clears, the γ it
     was sustaining snaps back to ``initial_gamma``.
 
-    The two path triggers keep *independent* doubling states, and
-    :meth:`path_gamma` serves the largest currently-active one.  The
-    isolation matters: a path's constraint typically first becomes violated
-    the instant its resources decongest (the price collapse lets latencies
-    jump), and if the direct violation inherited the γ already escalated by
-    several iterations of resource coverage, the very first Eq. 9 step
-    would be taken at ``max_gamma`` — large enough to slam latencies
-    between their clamps and lock the iteration into a limit cycle.
-    Starting each cause's escalation from ``initial_gamma`` keeps the first
-    corrective step small and only accelerates *persistent* stalls.
+    The two path triggers keep *independent* doubling states, and a path
+    is served the largest currently-active one.  The isolation matters: a
+    path's constraint typically first becomes violated the instant its
+    resources decongest (the price collapse lets latencies jump), and if
+    the direct violation inherited the γ already escalated by several
+    iterations of resource coverage, the very first Eq. 9 step would be
+    taken at ``max_gamma`` — large enough to slam latencies between their
+    clamps and lock the iteration into a limit cycle.  Starting each
+    cause's escalation from ``initial_gamma`` keeps the first corrective
+    step small and only accelerates *persistent* stalls.
 
     The paper obtained its best results starting from γ = 1.
 
@@ -109,8 +83,8 @@ class AdaptiveStepSize(StepSizePolicy):
     settling than fixed γ = 1) while keeping the prices stable.
     """
 
-    def __init__(self, taskset: TaskSet, initial_gamma: float = 1.0,
-                 growth: float = 2.0, max_gamma: float = 8.0) -> None:
+    def __init__(self, initial_gamma: float = 1.0, growth: float = 2.0,
+                 max_gamma: float = 8.0) -> None:
         if initial_gamma <= 0.0:
             raise OptimizationError(
                 f"initial step size must be positive, got {initial_gamma!r}"
@@ -120,80 +94,6 @@ class AdaptiveStepSize(StepSizePolicy):
         self.initial_gamma = float(initial_gamma)
         self.growth = float(growth)
         self.max_gamma = float(max_gamma)
-        self._paths_by_resource = self._index_paths(taskset)
-        self._resource_gamma: Dict[str, float] = {}
-        self._path_gamma: Dict[PathKey, float] = {}
-        self._cover_gamma: Dict[PathKey, float] = {}
-        self._direct_gamma: Dict[PathKey, float] = {}
-        self.reset()
-
-    @staticmethod
-    def _index_paths(taskset: TaskSet) -> Dict[str, Tuple[PathKey, ...]]:
-        """Which paths traverse each resource (a path traverses ``r`` when
-        any of its subtasks runs on ``r``)."""
-        index: Dict[str, list] = {r: [] for r in taskset.resources}
-        for task in taskset.tasks:
-            resource_of = {s.name: s.resource for s in task.subtasks}
-            for i, path in enumerate(task.graph.paths):
-                key = PathKey(task.name, i)
-                for resource in {resource_of[s] for s in path}:
-                    index[resource].append(key)
-        return {r: tuple(paths) for r, paths in index.items()}
-
-    def reset(self) -> None:
-        self._resource_gamma = {
-            r: self.initial_gamma for r in self._paths_by_resource
-        }
-        all_paths: Set[PathKey] = set()
-        for paths in self._paths_by_resource.values():
-            all_paths.update(paths)
-        self._path_gamma = {p: self.initial_gamma for p in all_paths}
-        self._cover_gamma = {p: self.initial_gamma for p in all_paths}
-        self._direct_gamma = {p: self.initial_gamma for p in all_paths}
-
-    def resource_gamma(self, resource: str) -> float:
-        return self._resource_gamma.get(resource, self.initial_gamma)
-
-    def path_gamma(self, path: PathKey) -> float:
-        return self._path_gamma.get(path, self.initial_gamma)
-
-    def observe(self, congested_resources: Iterable[str],
-                congested_paths: Iterable[PathKey]) -> None:
-        congested = set(congested_resources)
-        direct = set(congested_paths)
-        covered: Set[PathKey] = set()
-        for resource in self._paths_by_resource:
-            if resource in congested:
-                self._resource_gamma[resource] = min(
-                    self._resource_gamma[resource] * self.growth,
-                    self.max_gamma,
-                )
-                covered.update(self._paths_by_resource[resource])
-            else:
-                self._resource_gamma[resource] = self.initial_gamma
-        for path in self._path_gamma:
-            if path in covered:
-                self._cover_gamma[path] = min(
-                    self._cover_gamma[path] * self.growth, self.max_gamma
-                )
-            else:
-                self._cover_gamma[path] = self.initial_gamma
-            if path in direct:
-                self._direct_gamma[path] = min(
-                    self._direct_gamma[path] * self.growth, self.max_gamma
-                )
-            else:
-                self._direct_gamma[path] = self.initial_gamma
-            # Serve the largest active escalation; neither trigger active
-            # means the step snaps back to the starting γ.
-            boosts = []
-            if path in covered:
-                boosts.append(self._cover_gamma[path])
-            if path in direct:
-                boosts.append(self._direct_gamma[path])
-            self._path_gamma[path] = (
-                max(boosts) if boosts else self.initial_gamma
-            )
 
     def __repr__(self) -> str:
         return (

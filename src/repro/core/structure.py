@@ -1,7 +1,7 @@
 """Precompiled array structure of a :class:`~repro.model.task.TaskSet`.
 
 The compiled :class:`TaskSetStructure` is the system's **canonical**
-representation of a task set: the vectorized LLA backend iterates over it,
+representation of a task set: the LLA engine iterates over it,
 the sharded engine partitions it, the always-on service caches and
 snapshots it, and the distributed runtime derives its per-round
 observations from it.  Compiling the workload's *shape* — which subtask
@@ -11,16 +11,16 @@ every model mutation) is what turns the per-iteration cost from thousands
 of dict lookups and method dispatches into a handful of array operations.
 
 Layout conventions, chosen so that every batched reduction visits its
-operands in **exactly the same order as the scalar loops** (bitwise-equal
-partial sums, so the two backends produce identical iterates, not merely
-close ones):
+operands in **exactly the same order as a per-name loop** over the task
+set (bitwise-equal partial sums, so the engine reproduces the paper's
+per-controller iteration exactly, not merely closely):
 
 * tasks are numbered in **name-sorted order** and resources in
   **name-sorted order** — the canonical compile order, so equal task sets
   compile to byte-identical arrays regardless of declaration order (the
   in-repo workload factories all declare tasks name-sorted, which keeps
-  the canonical order equal to the scalar backend's declaration-order
-  loops and preserves bitwise backend parity);
+  the canonical order equal to a declaration-order loop over the task
+  set);
 * subtasks are numbered globally in (canonical) task order, then per-task
   declaration order;
 * paths are numbered task-by-task in :attr:`SubtaskGraph.paths` order, so
@@ -29,7 +29,7 @@ close ones):
   whose accumulation is a strictly sequential C loop in input order.
   ``np.add.reduceat`` is deliberately avoided for floats: its inner
   reduce uses unrolled/pairwise partial sums, which reassociate and drift
-  from the scalar loops by an ulp — enough to flip a congestion branch.
+  from a sequential loop by an ulp — enough to flip a congestion branch.
 
 A structure is serializable (:func:`structure_to_dict` /
 :func:`structure_from_dict`, mirroring :mod:`repro.model.serialize`) and
@@ -39,11 +39,12 @@ Because compilation is canonical, permuted-but-equal task sets produce the
 same structure fingerprint; checkpoints and snapshots stamped with it can
 be validated on restore, and corrupt payloads are detected by the hash.
 
-Only the paper's closed-form model family compiles: power-law share
-functions (:class:`HyperbolicShare`, :class:`PowerLawShare`, optionally
-wrapped in one :class:`CorrectedShare`) and linear or inelastic utilities.
-Anything else raises :class:`~repro.errors.OptimizationError` at
-compile time — run those workloads on the scalar backend.
+The model family that compiles: power-law share functions
+(:class:`HyperbolicShare`, :class:`PowerLawShare`, optionally wrapped in
+one :class:`CorrectedShare`) with linear, inelastic, log, quadratic or
+exponential utilities.  Custom :class:`~repro.model.share.ShareFunction`
+subclasses and custom utilities raise
+:class:`~repro.errors.OptimizationError` at compile time.
 """
 
 from __future__ import annotations
@@ -58,7 +59,14 @@ from repro.core.state import PathKey
 from repro.model.fingerprint import structure_fingerprint
 from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
 from repro.model.task import Task, TaskSet
-from repro.model.utility import InelasticUtility, LinearUtility
+from repro.model.utility import (
+    ExponentialUtility,
+    InelasticUtility,
+    LinearUtility,
+    LogUtility,
+    QuadraticUtility,
+    UtilityFunction,
+)
 
 __all__ = [
     "TaskSetStructure",
@@ -67,12 +75,18 @@ __all__ = [
     "structure_from_dict",
 ]
 
-#: Utility-kind codes in the per-task arrays.
+#: Utility-kind codes in the per-task arrays.  Codes from
+#: ``UTILITY_LOG`` up are the *numeric* family: their marginal utility
+#: depends on the aggregated latency, so the engine solves their tasks by
+#: bisection on that aggregate instead of one closed-form pass.
 UTILITY_LINEAR = 0
 UTILITY_INELASTIC = 1
+UTILITY_LOG = 2
+UTILITY_QUADRATIC = 3
+UTILITY_EXPONENTIAL = 4
 
 #: Serialization format version (bumped on incompatible layout changes).
-_STRUCTURE_FORMAT_VERSION = 1
+_STRUCTURE_FORMAT_VERSION = 2
 
 #: Integer index arrays and their serialization order.
 _INDEX_ARRAYS = (
@@ -83,7 +97,7 @@ _INDEX_ARRAYS = (
 _FLOAT_ARRAYS = (
     "sub_exec", "weights", "pull_base", "alpha", "cost", "err", "inv_exp",
     "lo", "hi", "availability", "path_crit", "ut_kc", "ut_slope", "ut_umax",
-    "ut_crit",
+    "ut_crit", "ut_shape",
 )
 
 
@@ -129,8 +143,6 @@ class TaskSetStructure:
     #: start offset of each task's subtask segment, shape (T+1,) — the
     #: trailing sentinel makes ``starts[t]:starts[t+1]`` a valid slice.
     task_sub_starts: np.ndarray = field(default=None)
-    #: whether path p traverses resource r, shape (P, R) bool
-    path_res_inc: np.ndarray = field(default=None)
     #: WCET of each subtask, shape (S,)
     sub_exec: np.ndarray = field(default=None)
 
@@ -164,10 +176,15 @@ class TaskSetStructure:
     ut_kc: np.ndarray = field(default=None)
     #: linear slope, shape (T,)
     ut_slope: np.ndarray = field(default=None)
-    #: inelastic step height u_max, shape (T,)
+    #: utility height: inelastic/quadratic/exponential u_max, log scale,
+    #: shape (T,)
     ut_umax: np.ndarray = field(default=None)
-    #: inelastic step edge (the utility's own critical time), shape (T,)
+    #: the utility's own critical time (inelastic step edge, log slack
+    #: origin), shape (T,)
     ut_crit: np.ndarray = field(default=None)
+    #: utility shape: log softness, quadratic curvature a, exponential
+    #: decay τ, shape (T,)
+    ut_shape: np.ndarray = field(default=None)
 
     #: cached canonical fingerprint; invalidated by :meth:`refresh_model`.
     _fingerprint: Optional[str] = field(default=None, repr=False)
@@ -245,8 +262,33 @@ class TaskSetStructure:
 
 def _unsupported(what: str) -> OptimizationError:
     return OptimizationError(
-        f"backend='vectorized' does not support {what}; "
-        "use backend='scalar' for this workload"
+        f"the LLA engine does not support {what}; it compiles power-law "
+        "share functions with linear, inelastic, log, quadratic or "
+        "exponential utilities"
+    )
+
+
+def _utility_params(
+    utility: UtilityFunction, task_name: str,
+) -> Tuple[int, float, float, float, float, float]:
+    """(kind, kc, slope, umax, crit, shape) of one task's utility."""
+    if isinstance(utility, LinearUtility):
+        return (UTILITY_LINEAR, utility.k * utility.critical_time,
+                utility.slope, 0.0, 0.0, 0.0)
+    if isinstance(utility, InelasticUtility):
+        # Zero pull below the step: only the paper's step shape.
+        return (UTILITY_INELASTIC, 0.0, 0.0, utility.u_max,
+                utility.critical_time, 0.0)
+    if isinstance(utility, LogUtility):
+        return (UTILITY_LOG, 0.0, 0.0, utility.scale,
+                utility.critical_time, utility.softness)
+    if isinstance(utility, QuadraticUtility):
+        return (UTILITY_QUADRATIC, 0.0, 0.0, utility.u_max, 0.0, utility.a)
+    if isinstance(utility, ExponentialUtility):
+        return (UTILITY_EXPONENTIAL, 0.0, 0.0, utility.u_max, 0.0,
+                utility.tau)
+    raise _unsupported(
+        f"utility {type(utility).__name__} on task {task_name!r}"
     )
 
 
@@ -345,36 +387,15 @@ def compile_structure(taskset: TaskSet,
     task_path_starts = []
     task_sub_starts = [0]
     sub_paths = []  # per-subtask list of global path indices, global order
-    ut_kind = []
-    ut_kc = []
-    ut_slope = []
-    ut_umax = []
-    ut_crit = []
+    utility_rows = []
 
     sub_index = {}
     for task in tasks:
-        utility = task.utility
-        if isinstance(utility, LinearUtility):
-            slope = utility.slope
-            ut_kind.append(UTILITY_LINEAR)
-            ut_kc.append(utility.k * utility.critical_time)
-            ut_slope.append(slope)
-            ut_umax.append(0.0)
-            ut_crit.append(0.0)
-        elif isinstance(utility, InelasticUtility):
-            # The scalar closed form treats inelastic tasks with zero
-            # utility pull; only the paper's step shape is representable.
-            slope = 0.0
-            ut_kind.append(UTILITY_INELASTIC)
-            ut_kc.append(0.0)
-            ut_slope.append(0.0)
-            ut_umax.append(utility.u_max)
-            ut_crit.append(utility.critical_time)
-        else:
-            raise _unsupported(
-                f"utility {type(utility).__name__} on task {task.name!r} "
-                "(needs the numeric per-task solver)"
-            )
+        row = _utility_params(task.utility, task.name)
+        utility_rows.append(row)
+        # The constant utility pull of Eq. 7 (numeric tasks get theirs
+        # per allocation, from the aggregate latency).
+        slope = row[2]
 
         task_idx = len(task_path_starts)
         for sub in task.subtasks:
@@ -397,7 +418,7 @@ def compile_structure(taskset: TaskSet,
             for name in path:
                 path_sub_flat.append(sub_index[name])
                 path_ids_flat.append(global_path)
-        # Subtask→path membership in the scalar allocator's order: for each
+        # Subtask→path membership in LatencyAllocator's order: for each
         # subtask, graph.paths_through gives ascending local path indices.
         base = task_path_starts[-1]
         for sub in task.subtasks:
@@ -429,11 +450,11 @@ def compile_structure(taskset: TaskSet,
     structure.weights = np.asarray(weights)
     structure.pull_base = np.asarray(pull_base)
     structure.path_crit = np.asarray(path_crit)
-    structure.ut_kind = np.asarray(ut_kind, dtype=np.int8)
-    structure.ut_kc = np.asarray(ut_kc)
-    structure.ut_slope = np.asarray(ut_slope)
-    structure.ut_umax = np.asarray(ut_umax)
-    structure.ut_crit = np.asarray(ut_crit)
+    rows = np.asarray(utility_rows, dtype=np.float64).reshape(-1, 6)
+    structure.ut_kind = rows[:, 0].astype(np.int8)
+    for col, name in enumerate(
+            ("ut_kc", "ut_slope", "ut_umax", "ut_crit", "ut_shape"), 1):
+        setattr(structure, name, rows[:, col].copy())
 
     sub_path_flat = []
     sub_ids_flat = []
@@ -442,12 +463,6 @@ def compile_structure(taskset: TaskSet,
         sub_ids_flat.extend([s_idx] * len(paths))
     structure.sub_path_flat = np.asarray(sub_path_flat, dtype=np.intp)
     structure.sub_ids_flat = np.asarray(sub_ids_flat, dtype=np.intp)
-
-    inc = np.zeros((len(path_keys), len(resource_names)), dtype=bool)
-    for s_idx, paths in enumerate(sub_paths[: len(subtask_names)]):
-        for p_idx in paths:
-            inc[p_idx, sub_resource[s_idx]] = True
-    structure.path_res_inc = inc
 
     _fill_model_arrays(structure, taskset, structure.max_latency_factor)
     return structure
@@ -467,9 +482,6 @@ def _payload_dict(s: TaskSetStructure) -> Dict[str, Any]:
         "path_keys": [[k.task, int(k.index)] for k in s.path_keys],
         "ut_kind": [int(v) for v in s.ut_kind.tolist()],
         "hyper_mask": [bool(v) for v in s.hyper_mask.tolist()],
-        "path_res_inc": [
-            [bool(v) for v in row] for row in s.path_res_inc.tolist()
-        ],
     }
     for name in _INDEX_ARRAYS:
         payload[name] = [int(v) for v in getattr(s, name).tolist()]
@@ -535,9 +547,6 @@ def structure_from_dict(
             )
         structure.ut_kind = np.asarray(data["ut_kind"], dtype=np.int8)
         structure.hyper_mask = np.asarray(data["hyper_mask"], dtype=bool)
-        structure.path_res_inc = np.asarray(
-            data["path_res_inc"], dtype=bool
-        ).reshape(structure.n_paths, structure.n_resources)
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -564,7 +573,7 @@ def _check_shapes(s: TaskSetStructure) -> None:
         "hi": n_sub, "availability": n_res, "path_crit": n_path,
         "task_path_starts": n_task, "task_sub_starts": n_task + 1,
         "ut_kind": n_task, "ut_kc": n_task, "ut_slope": n_task,
-        "ut_umax": n_task, "ut_crit": n_task,
+        "ut_umax": n_task, "ut_crit": n_task, "ut_shape": n_task,
     }
     for name, size in expected.items():
         actual = len(getattr(s, name))
@@ -578,9 +587,4 @@ def _check_shapes(s: TaskSetStructure) -> None:
     if len(s.sub_path_flat) != len(s.sub_ids_flat):
         raise ModelError(
             "structure payload subtask flattening is inconsistent"
-        )
-    if s.path_res_inc.shape != (n_path, n_res):
-        raise ModelError(
-            f"structure payload path_res_inc has shape "
-            f"{s.path_res_inc.shape}, expected {(n_path, n_res)}"
         )

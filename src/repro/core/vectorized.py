@@ -1,27 +1,33 @@
-"""Batched numpy kernel for the LLA iteration.
+"""The LLA iteration engine: one batched numpy kernel for every utility.
 
-``VectorizedEngine`` executes the exact iteration of
-:meth:`LLAOptimizer._scalar_iteration` — Eq. 9 path-price step from the old
-latencies, Eq. 7 closed-form allocation, Eq. 8 resource-price step,
+``VectorizedEngine`` executes one LLA iteration — Eq. 9 path-price step
+from the old latencies, Eq. 7 allocation, Eq. 8 resource-price step,
 congestion classification, step-size feedback, utility — as whole-array
 operations over the structure precompiled by
 :mod:`repro.core.structure`.
 
-The two backends are *trajectory-identical*, not just approximately equal:
-every reduction is ordered like its scalar counterpart (see the structure
-module's layout notes), arithmetic uses the same expression shapes, and the
-free-resource / zero-pull special cases of
-:func:`~repro.core.allocation.stationary_latency` are reproduced as masks.
-That matters because the adaptive step-size heuristic branches on strict
-comparisons (``load > B_r + tol``): a one-ulp difference in a load flips a
-doubling decision and the runs diverge visibly.  Parity tests assert
-bitwise-equal traces over full figure runs.
+For the paper's closed-form family (linear and inelastic utilities) the
+engine is *trajectory-identical* to the per-controller loops of the
+paper's algorithm boxes, not just approximately equal: every reduction is
+ordered like a per-name loop (see the structure module's layout notes),
+arithmetic uses the same expression shapes as
+:func:`~repro.core.allocation.stationary_latency`, and its free-resource /
+zero-pull special cases are reproduced as masks.  That matters because
+the adaptive step-size heuristic branches on strict comparisons
+(``load > B_r + tol``): a one-ulp difference in a load flips a doubling
+decision and the runs diverge visibly.  The tests hold a per-name
+reference implementation and assert bitwise-equal traces over full
+figure runs.
 
-Step-size handling: :class:`FixedStepSize` folds to two scalars;
-:class:`AdaptiveStepSize` is re-implemented as array updates with
-engine-owned γ state (the policy object is bypassed — its dicts stay at
-their initial values); any other policy is driven through its public
-per-name interface, which preserves semantics at scalar-ish speed.
+The numeric family (log, quadratic, exponential utilities) couples a
+task's subtasks through its aggregated latency ``A``.  At a fixed ``A``
+every subtask has the closed form at pull ``w_s·(−U′(A)) + Σλ``, so the
+engine solves those tasks with one batched bisection on ``A`` (see
+:class:`_NumericTasks`); linear and inelastic workloads never enter it.
+
+Step sizes: :class:`FixedStepSize` folds to two scalars and
+:class:`AdaptiveStepSize` runs as array updates on engine-owned γ state,
+both built through :func:`gamma_spec` → :func:`make_gamma_supplier`.
 """
 
 from __future__ import annotations
@@ -38,8 +44,15 @@ from repro.core.allocation import _PULL_FLOOR
 from repro.core.phases import PhaseTimers
 from repro.core.state import PathKey
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
-from repro.core.structure import TaskSetStructure, compile_structure
+from repro.core.structure import (
+    UTILITY_LINEAR,
+    UTILITY_LOG,
+    UTILITY_QUADRATIC,
+    TaskSetStructure,
+    compile_structure,
+)
 from repro.model.task import TaskSet
+from repro.model.utility import LogUtility
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -51,6 +64,9 @@ __all__ = [
     "StepArrays",
     "ObservedAssignment",
     "compute_loads",
+    "aggregate_latencies",
+    "feasible_latencies",
+    "task_utilities",
     "observe_assignment",
     "gamma_spec",
     "make_gamma_supplier",
@@ -144,7 +160,7 @@ class EngineStep:
 
 
 class _FixedGammas:
-    """γ supplier for an exact :class:`FixedStepSize` (two constants)."""
+    """γ supplier for a :class:`FixedStepSize` (two constants)."""
 
     def __init__(self, resource_gamma: float, path_gamma: float) -> None:
         self._gr = float(resource_gamma)
@@ -153,9 +169,7 @@ class _FixedGammas:
     def gammas(self) -> GammaPair:
         return self._gr, self._gp
 
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
+    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         pass
 
     def reset(self) -> None:
@@ -163,36 +177,39 @@ class _FixedGammas:
 
 
 class _AdaptiveGammas:
-    """Array form of :meth:`AdaptiveStepSize.observe`.
-
-    Owns the γ vectors itself; the policy object is not consulted per
-    iteration (its dict state stays at the initial γ).
-    """
+    """The adaptive heuristic of :class:`AdaptiveStepSize` as array
+    updates over engine-owned γ vectors."""
 
     def __init__(self, initial_gamma: float, growth: float, max_gamma: float,
                  structure: TaskSetStructure) -> None:
         self._initial = float(initial_gamma)
         self._growth = float(growth)
         self._max = float(max_gamma)
-        self._inc = structure.path_res_inc
-        self._gr = np.full(structure.n_resources, self._initial)
-        self._gp = np.full(structure.n_paths, self._initial)
-        self._cover = np.full(structure.n_paths, self._initial)
-        self._direct = np.full(structure.n_paths, self._initial)
+        s = structure
+        #: resource of each path-membership entry (``path_sub_flat`` order)
+        self._path_res = s.sub_resource[s.path_sub_flat]
+        self._path_ids = s.path_ids_flat
+        self._gr = np.full(s.n_resources, self._initial)
+        self._gp = np.full(s.n_paths, self._initial)
+        self._cover = np.full(s.n_paths, self._initial)
+        self._direct = np.full(s.n_paths, self._initial)
 
     def gammas(self) -> GammaPair:
         return self._gr, self._gp
 
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
+    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         self._gr = np.where(
             cong_r, np.minimum(self._gr * self._growth, self._max),
             self._initial,
         )
         # Two independent escalation states per path (resource coverage
         # vs direct constraint violation); serve the largest active one.
-        covered = (self._inc & cong_r).any(axis=1)
+        # A path is covered when it has a subtask on a congested
+        # resource: a count over its membership entries, exact in O(nnz).
+        covered = np.bincount(
+            self._path_ids, weights=cong_r[self._path_res],
+            minlength=len(self._gp),
+        ) > 0
         self._cover = np.where(
             covered, np.minimum(self._cover * self._growth, self._max),
             self._initial,
@@ -214,74 +231,28 @@ class _AdaptiveGammas:
         self._direct = np.full_like(self._direct, self._initial)
 
 
-class _GenericGammas:
-    """Fallback for custom policies: gather γ per name, feed observe()."""
-
-    def __init__(self, policy: StepSizePolicy, structure: TaskSetStructure) -> None:
-        self._policy = policy
-        self._structure = structure
-
-    def gammas(self) -> GammaPair:
-        s = self._structure
-        gr = np.array([self._policy.resource_gamma(r)
-                       for r in s.resource_names])
-        gp = np.array([self._policy.path_gamma(k) for k in s.path_keys])
-        return gr, gp
-
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
-        self._policy.observe(cong_r_names, cong_p_keys)
-
-    def reset(self) -> None:
-        # The optimizer already resets the policy object itself.
-        pass
-
-
 #: The union of γ supplier implementations.
-GammaSupplier = Union["_FixedGammas", "_AdaptiveGammas", "_GenericGammas"]
-
-
-def _make_gammas(
-    policy: StepSizePolicy, structure: TaskSetStructure,
-) -> GammaSupplier:
-    # Exact types only: subclasses may override behaviour, so they take the
-    # generic (public-interface) route.
-    if type(policy) is FixedStepSize:
-        return _FixedGammas(
-            policy.resource_gamma(structure.resource_names[0]),
-            policy.path_gamma(structure.path_keys[0]),
-        )
-    if type(policy) is AdaptiveStepSize:
-        return _AdaptiveGammas(
-            policy.initial_gamma, policy.growth, policy.max_gamma, structure
-        )
-    return _GenericGammas(policy, structure)
+GammaSupplier = Union["_FixedGammas", "_AdaptiveGammas"]
 
 
 def gamma_spec(policy: StepSizePolicy) -> GammaSpec:
-    """A picklable spec of ``policy`` for taskset-free reconstruction.
-
-    Only the exact :class:`FixedStepSize` and :class:`AdaptiveStepSize`
-    types fold to parameter tuples; custom policies keep per-name state the
-    sharded engine cannot partition, so they raise.
-    """
-    if type(policy) is FixedStepSize:
-        probe = PathKey("", 0)
-        return ("fixed", policy.resource_gamma(""), policy.path_gamma(probe))
-    if type(policy) is AdaptiveStepSize:
+    """A picklable spec of ``policy`` for taskset-free reconstruction."""
+    if isinstance(policy, FixedStepSize):
+        return ("fixed", policy.gamma, policy.path_gamma)
+    if isinstance(policy, AdaptiveStepSize):
         return ("adaptive", policy.initial_gamma, policy.growth,
                 policy.max_gamma)
     raise OptimizationError(
-        f"shards > 1 supports only FixedStepSize/AdaptiveStepSize step "
-        f"policies, got {type(policy).__name__}"
+        f"unsupported step policy {type(policy).__name__}; expected "
+        "FixedStepSize or AdaptiveStepSize"
     )
 
 
 def make_gamma_supplier(spec: GammaSpec,
                         structure: TaskSetStructure) -> GammaSupplier:
-    """Rebuild the γ supplier described by :func:`gamma_spec` over
-    ``structure`` (used by shard workers, which have no policy object)."""
+    """Build the γ supplier described by :func:`gamma_spec` over
+    ``structure`` (shard workers, which have no policy object, receive
+    the spec alone)."""
     if spec[0] == "fixed":
         return _FixedGammas(float(spec[1]), float(spec[2]))
     if spec[0] == "adaptive":
@@ -291,6 +262,185 @@ def make_gamma_supplier(spec: GammaSpec,
     raise OptimizationError(f"unknown gamma spec {spec!r}")
 
 
+def resolve_structure(taskset: TaskSet, config: "LLAConfig",
+                      structure: Optional[TaskSetStructure],
+                      ) -> TaskSetStructure:
+    """``structure`` checked against ``taskset`` and ``config``, or a
+    fresh compile when ``None``.
+
+    A precompiled structure (e.g. from the service's churn cache) must
+    describe this very task set at this clamp factor; the cache
+    guarantees it via fingerprint equality.
+    """
+    if structure is None:
+        return compile_structure(
+            taskset, max_latency_factor=config.max_latency_factor
+        )
+    if structure.taskset is not taskset:
+        raise OptimizationError(
+            "precompiled structure is bound to a different task set"
+        )
+    if structure.max_latency_factor != float(config.max_latency_factor):
+        raise OptimizationError(
+            "precompiled structure was built at "
+            f"max_latency_factor={structure.max_latency_factor!r}, "
+            f"config wants {config.max_latency_factor!r}"
+        )
+    return structure
+
+
+# -- allocation (Eq. 7) ---------------------------------------------------------
+
+def _closed_form(num: np.ndarray, pull: np.ndarray, free: np.ndarray,
+                 err: np.ndarray, inv_exp: np.ndarray, hyper: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The clamped stationarity solve of Eq. 7, per subtask: ``num`` is
+    ``μ·α·(c + l)``, ``pull`` the marginal latency cost and ``free``
+    marks resources priced at zero."""
+    slack = pull <= _PULL_FLOOR
+    with np.errstate(all="ignore"):
+        arg = num / pull
+        if hyper.all():
+            raw = np.sqrt(arg)
+        else:
+            raw = np.empty_like(arg)
+            np.sqrt(arg, out=raw, where=hyper)
+            pw = ~hyper
+            raw[pw] = arg[pw] ** inv_exp[pw]
+    lat = err + raw
+    # Same precedence as stationary_latency: a free resource wins over a
+    # zero pull, and both are applied before the correction offset is
+    # even considered (the per-name solve returns early).
+    lat = np.where(slack, np.inf, lat)
+    lat = np.where(free, 0.0, lat)
+    return np.clip(lat, lo, hi)
+
+
+def _marginal_utility(kind: int, umax: np.ndarray, crit: np.ndarray,
+                      shape: np.ndarray, agg: np.ndarray) -> np.ndarray:
+    """``−U′(agg)`` for tasks of one numeric ``kind``, in the expression
+    shapes of the utilities' own ``derivative`` methods."""
+    if kind == UTILITY_LOG:
+        slack = np.maximum(1.0 + (crit - agg) / shape,
+                           LogUtility.EXTENSION_EPS)
+        return umax / (shape * slack)
+    if kind == UTILITY_QUADRATIC:
+        return 2.0 * shape * agg
+    return (umax / shape) * np.exp(-agg / shape)
+
+
+def _numeric_values(kind: np.ndarray, umax: np.ndarray, crit: np.ndarray,
+                    shape: np.ndarray, agg: np.ndarray) -> np.ndarray:
+    """``U(agg)`` for numeric-family tasks (see :mod:`repro.model.utility`)."""
+    eps = LogUtility.EXTENSION_EPS
+    with np.errstate(all="ignore"):
+        arg = 1.0 + (crit - agg) / shape
+        log_value = np.where(
+            arg >= eps, umax * np.log(arg),
+            umax * (np.log(eps) + (arg - eps) / eps),
+        )
+        return np.select(
+            [kind == UTILITY_LOG, kind == UTILITY_QUADRATIC],
+            [log_value, umax - shape * agg ** 2],
+            umax * np.exp(-agg / shape),
+        )
+
+
+def task_utilities(structure: TaskSetStructure,
+                   agg: np.ndarray) -> np.ndarray:
+    """Per-task utility ``U_i`` at the aggregated latencies ``agg`` (see
+    :func:`aggregate_latencies`).  Linear and inelastic values use the
+    same arithmetic as the utility objects, so they are bitwise-equal to
+    ``Task.utility_value``."""
+    s = structure
+    out = np.where(
+        s.ut_kind == UTILITY_LINEAR,
+        s.ut_kc - s.ut_slope * agg,
+        np.where(agg <= s.ut_crit, s.ut_umax, 0.0),
+    )
+    numeric = s.ut_kind >= UTILITY_LOG
+    if numeric.any():
+        out[numeric] = _numeric_values(
+            s.ut_kind[numeric], s.ut_umax[numeric], s.ut_crit[numeric],
+            s.ut_shape[numeric], agg[numeric],
+        )
+    return out
+
+
+#: Halvings of the bracket on A: it ends 2**-48 (≈ 4e-15) of its start.
+_BISECT_STEPS = 48
+
+
+class _NumericTasks:
+    """The Eq. 7 solve for numeric-family tasks, batched across tasks.
+
+    A task with a non-linear utility maximizes
+    ``U(A) − Σ_s λ̄_s·x_s − Σ_s μ_s·share_s(x_s)`` with ``A = Σ_s w_s·x_s``.
+    At a fixed ``A`` the subtasks decouple: each takes the closed form at
+    pull ``w_s·(−U′(A)) + λ̄_s``, clamped to its bounds.  The optimum is the
+    fixed point ``Σ_s w_s·x_s(A) = A``.  For a concave ``U`` the pull grows
+    with ``A``, so ``Σ_s w_s·x_s(A) − A`` is strictly decreasing and the
+    fixed point is unique; the bracket ``[Σ w·lo, Σ w·hi]`` always holds a
+    sign change, so the bisection is safe for a convex ``U`` too (it then
+    lands on a stationary point).
+    """
+
+    def __init__(self, structure: TaskSetStructure) -> None:
+        s = structure
+        tasks = np.flatnonzero(s.ut_kind >= UTILITY_LOG)
+        self.n_tasks = len(tasks)
+        self.subs = np.flatnonzero(s.ut_kind[s.sub_task_ids] >= UTILITY_LOG)
+        #: local (numeric-task) index of each numeric subtask
+        self.owner = np.searchsorted(tasks, s.sub_task_ids[self.subs])
+        self.weights = s.weights[self.subs]
+        kinds = s.ut_kind[tasks]
+        #: per utility kind: its tasks' local indices and parameters
+        self.groups = []
+        for kind in np.unique(kinds).tolist():
+            sel = np.flatnonzero(kinds == kind)
+            rows = tasks[sel]
+            self.groups.append((sel, (kind, s.ut_umax[rows], s.ut_crit[rows],
+                                      s.ut_shape[rows])))
+
+    def _aggregate(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.owner, weights=self.weights * x,
+                           minlength=self.n_tasks)
+
+    def _marginal(self, agg: np.ndarray) -> np.ndarray:
+        """``−U′(A)`` per numeric task."""
+        if len(self.groups) == 1:
+            return _marginal_utility(*self.groups[0][1], agg)
+        out = np.empty_like(agg)
+        for sel, params in self.groups:
+            out[sel] = _marginal_utility(*params, agg[sel])
+        return out
+
+    def solve(self, structure: TaskSetStructure, lat: np.ndarray,
+              lam_sum: np.ndarray, price: np.ndarray) -> None:
+        """Overwrite ``lat`` at the numeric subtasks with their solve."""
+        s, idx = structure, self.subs
+        pr, lam = price[idx], lam_sum[idx]
+        # Everything in the closed form but the pull is fixed for the
+        # whole solve.
+        num, free = pr * s.alpha[idx] * s.cost[idx], pr <= 0.0
+        err, inv_exp, hyper = s.err[idx], s.inv_exp[idx], s.hyper_mask[idx]
+        lo, hi = s.lo[idx], s.hi[idx]
+
+        def latencies(agg: np.ndarray) -> np.ndarray:
+            pull = self.weights * self._marginal(agg)[self.owner] + lam
+            return _closed_form(num, pull, free, err, inv_exp, hyper, lo, hi)
+
+        a_lo = self._aggregate(lo)
+        a_hi = self._aggregate(hi)
+        with np.errstate(all="ignore"):
+            for _ in range(_BISECT_STEPS):
+                mid = 0.5 * (a_lo + a_hi)
+                over = self._aggregate(latencies(mid)) > mid
+                a_lo = np.where(over, mid, a_lo)
+                a_hi = np.where(over, a_hi, mid)
+            lat[idx] = latencies(0.5 * (a_lo + a_hi))
+
+
 class VectorizedEngine:
     """Array-state LLA iteration over a compiled task set.
 
@@ -298,41 +448,17 @@ class VectorizedEngine:
     the primal iterate (latency per subtask) as float64 arrays; the
     optimizer facade reads them as :class:`StepArrays` and builds its dict
     views only when a caller asks.  Model mutations (error correction,
-    ``set_availability``) require :meth:`refresh_model`, same contract as
-    the scalar allocators' ``refresh_bounds``.
+    ``set_availability``) require :meth:`refresh_model`.
     """
 
     def __init__(self, taskset: TaskSet, config: "LLAConfig",
                  policy: StepSizePolicy,
                  telemetry: Optional[Telemetry] = None,
                  structure: Optional[TaskSetStructure] = None) -> None:
-        if structure is not None:
-            # A precompiled structure (e.g. from the service's churn
-            # cache) must describe this very task set at this clamp
-            # factor; the cache guarantees it via fingerprint equality.
-            if structure.taskset is not taskset:
-                raise OptimizationError(
-                    "precompiled structure is bound to a different task set"
-                )
-            if structure.max_latency_factor != float(config.max_latency_factor):
-                raise OptimizationError(
-                    "precompiled structure was built at "
-                    f"max_latency_factor={structure.max_latency_factor!r}, "
-                    f"config wants {config.max_latency_factor!r}"
-                )
-            self.structure = structure
-        else:
-            self.structure = compile_structure(
-                taskset, max_latency_factor=config.max_latency_factor
-            )
-        self.config = config
-        self._gammas = _make_gammas(policy, self.structure)
-        self._telemetry = telemetry
-        self._phases: Optional[PhaseTimers] = None
-        s = self.structure
-        self._mu = np.full(s.n_resources, float(config.initial_resource_price))
-        self._lam = np.full(s.n_paths, float(config.initial_path_price))
-        self._lat = self._allocate()
+        structure = resolve_structure(taskset, config, structure)
+        self._setup(structure, config,
+                    make_gamma_supplier(gamma_spec(policy), structure),
+                    telemetry)
 
     @classmethod
     def from_structure(cls, structure: TaskSetStructure, config: "LLAConfig",
@@ -347,19 +473,26 @@ class VectorizedEngine:
         supplier instead of a policy.
         """
         engine = cls.__new__(cls)
-        engine.structure = structure
-        engine.config = config
-        engine._gammas = gammas
-        engine._telemetry = telemetry
-        engine._phases = None
-        engine._mu = np.full(
-            structure.n_resources, float(config.initial_resource_price)
-        )
-        engine._lam = np.full(
-            structure.n_paths, float(config.initial_path_price)
-        )
-        engine._lat = engine._allocate()
+        engine._setup(structure, config, gammas, telemetry)
         return engine
+
+    def _setup(self, structure: TaskSetStructure, config: "LLAConfig",
+               gammas: GammaSupplier,
+               telemetry: Optional[Telemetry]) -> None:
+        self.structure = structure
+        self.config = config
+        self._gammas = gammas
+        self._telemetry = telemetry
+        self._phases: Optional[PhaseTimers] = None
+        self._numeric: Optional[_NumericTasks] = (
+            _NumericTasks(structure)
+            if bool(np.any(structure.ut_kind >= UTILITY_LOG)) else None
+        )
+        self._mu = np.full(structure.n_resources,
+                           float(config.initial_resource_price))
+        self._lam = np.full(structure.n_paths,
+                            float(config.initial_path_price))
+        self._lat = self._allocate()
 
     def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live ``(latencies, μ, λ)`` arrays (not copies; the engine
@@ -377,32 +510,20 @@ class VectorizedEngine:
     # -- allocation (Eq. 7) -----------------------------------------------------
 
     def _allocate(self) -> np.ndarray:
-        """Closed-form stationarity solve + clamp at the current duals."""
+        """Stationarity solve + clamp at the current duals: the closed
+        form for every subtask, then the bisection for numeric tasks."""
         s = self.structure
         lam_sum = np.bincount(
             s.sub_ids_flat, weights=self._lam[s.sub_path_flat],
             minlength=s.n_subtasks,
         )
-        pull = s.pull_base + lam_sum
         price = self._mu[s.sub_resource]
-        free = price <= 0.0
-        slack = pull <= _PULL_FLOOR
-        with np.errstate(all="ignore"):
-            arg = price * s.alpha * s.cost / pull
-            if s.hyper_mask.all():
-                raw = np.sqrt(arg)
-            else:
-                raw = np.empty_like(arg)
-                np.sqrt(arg, out=raw, where=s.hyper_mask)
-                pw = ~s.hyper_mask
-                raw[pw] = arg[pw] ** s.inv_exp[pw]
-        lat = s.err + raw
-        # Same precedence as stationary_latency: a free resource wins over
-        # a zero pull, and both are applied before the correction offset is
-        # even considered (the scalar returns early).
-        lat = np.where(slack, np.inf, lat)
-        lat = np.where(free, 0.0, lat)
-        return np.clip(lat, s.lo, s.hi)
+        lat = _closed_form(price * s.alpha * s.cost, s.pull_base + lam_sum,
+                           price <= 0.0, s.err, s.inv_exp, s.hyper_mask,
+                           s.lo, s.hi)
+        if self._numeric is not None:
+            self._numeric.solve(s, lat, lam_sum, price)
+        return lat
 
     # -- load model (Eq. 3 LHS) -------------------------------------------------
 
@@ -413,10 +534,10 @@ class VectorizedEngine:
     # -- one iteration ----------------------------------------------------------
 
     def step_arrays(self) -> StepArrays:
-        """One LLA iteration in array form; mirrors ``_scalar_iteration``
-        phase by phase.  This is what the optimizer facade, batched
-        :meth:`iterate` and the sharded engine consume; :meth:`step` wraps
-        it in per-name views built on read."""
+        """One LLA iteration in array form, phase by phase as in the
+        paper's algorithm boxes.  This is what the optimizer facade,
+        batched :meth:`iterate` and the sharded engine consume;
+        :meth:`step` wraps it in per-name views built on read."""
         s = self.structure
         tol = self.config.congestion_tol
         gr, gp = self._gammas.gammas()
@@ -445,41 +566,20 @@ class VectorizedEngine:
         if phases is not None:
             mark = phases.lap("price_update", mark)
 
-        # (3) Congestion classification + step-size feedback.  Only a
-        # generic (custom) policy consumes the *name* tuples; the fixed and
-        # adaptive suppliers work on the masks, so batched iteration skips
-        # materializing names.
+        # (3) Congestion classification + step-size feedback.
         cong_r = loads > s.availability + tol
         path_lat_new = np.bincount(
             s.path_ids_flat, weights=lat[s.path_sub_flat],
             minlength=s.n_paths,
         )
         cong_p = path_lat_new > s.path_crit + tol
-        if isinstance(self._gammas, _GenericGammas):
-            cong_r_names = tuple(
-                s.resource_names[i] for i in np.flatnonzero(cong_r)
-            )
-            cong_p_keys = tuple(
-                s.path_keys[i] for i in np.flatnonzero(cong_p)
-            )
-        else:
-            cong_r_names = ()
-            cong_p_keys = ()
-        self._gammas.observe(cong_r, cong_p, cong_r_names, cong_p_keys)
+        self._gammas.observe(cong_r, cong_p)
         if phases is not None:
             phases.lap("classify", mark)
 
         # Utility (Eq. 2): per-task aggregated latency through the task's
         # utility; summed in task order by StepArrays.utility_sum.
-        agg = np.bincount(
-            s.sub_task_ids, weights=s.weights * lat,
-            minlength=len(s.task_names),
-        )
-        per_task = np.where(
-            s.ut_kind == 0,
-            s.ut_kc - s.ut_slope * agg,
-            np.where(agg <= s.ut_crit, s.ut_umax, 0.0),
-        )
+        per_task = task_utilities(s, aggregate_latencies(s, lat))
 
         # Critical-path latencies are observational (they feed records, not
         # the iteration), computed as the max over the task's path sums.
@@ -556,8 +656,8 @@ class VectorizedEngine:
 # -- structure-level observation ------------------------------------------------
 #
 # Everything below reads a compiled TaskSetStructure plus a latency
-# assignment and computes the global quantities the scalar TaskSet API
-# derives by traversing the object graph (resource_loads, total_utility,
+# assignment and computes the global quantities the TaskSet API derives by
+# traversing the object graph (resource_loads, total_utility,
 # critical_path, is_feasible).  Observers that already hold a structure —
 # the distributed runtime's omniscient snapshot, the service's query path —
 # use these instead of re-walking tasks per round (REP016).
@@ -569,7 +669,7 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     Bitwise-equal to summing ``TaskSet.resource_load`` per resource when
     the task set is declared in canonical (name-sorted) order: the
     ``bincount`` accumulates shares in subtask order, which is exactly the
-    scalar loop's visit order.
+    per-name loop's visit order.
     """
     s = structure
     model_lat = lat - s.err
@@ -591,6 +691,27 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     return np.bincount(
         s.sub_resource, weights=shares, minlength=s.n_resources
     )
+
+
+def aggregate_latencies(structure: TaskSetStructure,
+                        lat: np.ndarray) -> np.ndarray:
+    """Per-task aggregated latency ``Σ_s w_s·lat_s``, summed in subtask
+    order like ``Task.aggregated_latency``."""
+    s = structure
+    return np.bincount(s.sub_task_ids, weights=s.weights * lat,
+                       minlength=len(s.task_names))
+
+
+def feasible_latencies(structure: TaskSetStructure, lat: np.ndarray,
+                       tol: float) -> bool:
+    """Whether ``lat`` satisfies Eqs. 3–4 within ``tol`` (the comparisons
+    of ``TaskSet.is_feasible``, on the compiled arrays)."""
+    s = structure
+    if np.any(compute_loads(s, lat) > s.availability + tol):
+        return False
+    path_lat = np.bincount(s.path_ids_flat, weights=lat[s.path_sub_flat],
+                           minlength=s.n_paths)
+    return not bool(np.any(path_lat > s.path_crit + tol))
 
 
 @dataclass
@@ -628,15 +749,7 @@ def observe_assignment(structure: TaskSetStructure,
         s.path_ids_flat, weights=lat[s.path_sub_flat], minlength=s.n_paths,
     )
     cong_p = path_lat > s.path_crit + tol
-    agg = np.bincount(
-        s.sub_task_ids, weights=s.weights * lat,
-        minlength=len(s.task_names),
-    )
-    per_task = np.where(
-        s.ut_kind == 0,
-        s.ut_kc - s.ut_slope * agg,
-        np.where(agg <= s.ut_crit, s.ut_umax, 0.0),
-    )
+    per_task = task_utilities(s, aggregate_latencies(s, lat))
     crit = np.maximum.reduceat(path_lat, s.task_path_starts)
     return ObservedAssignment(
         lat=lat, loads=loads, path_lat=path_lat, cong_r=cong_r,

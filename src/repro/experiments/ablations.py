@@ -74,7 +74,7 @@ def ablate_utility_variant(max_iterations: int = 2000) -> List[VariantOutcome]:
     outcomes = []
     for variant in ("sum", "path-weighted"):
         taskset = base_workload(variant=variant)
-        policy = AdaptiveStepSize(taskset, initial_gamma=1.0, max_gamma=4.0)
+        policy = AdaptiveStepSize(initial_gamma=1.0, max_gamma=4.0)
         result = LLAOptimizer(
             taskset,
             LLAConfig(step_policy=policy, max_iterations=max_iterations),
@@ -101,7 +101,7 @@ def ablate_max_gamma(caps: Sequence[float] = (2.0, 4.0, 8.0, 16.0, 1e6),
     outcomes = []
     for cap in caps:
         taskset = base_workload()
-        policy = AdaptiveStepSize(taskset, initial_gamma=1.0, max_gamma=cap)
+        policy = AdaptiveStepSize(initial_gamma=1.0, max_gamma=cap)
         result = LLAOptimizer(
             taskset,
             LLAConfig(step_policy=policy, max_iterations=max_iterations,
@@ -328,7 +328,7 @@ def ablate_share_exponent(
                 trigger=PeriodicEvent(100.0),
             ))
         taskset = TaskSet(tasks, resources)
-        policy = AdaptiveStepSize(taskset, initial_gamma=1.0, max_gamma=4.0)
+        policy = AdaptiveStepSize(initial_gamma=1.0, max_gamma=4.0)
         result = LLAOptimizer(
             taskset,
             LLAConfig(step_policy=policy, max_iterations=max_iterations),

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.analysis.admission import AdmissionDecision, certify_infeasible
 from repro.core.optimizer import LLAConfig, LLAOptimizer
-from repro.core.structure import TaskSetStructure
+from repro.core.vectorized import feasible_latencies
 from repro.core.warmstart import warm_start_resource_prices
 from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import ModelError, ServiceError
@@ -78,10 +78,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    backend:
-        Optimizer backend for the live solve (``"vectorized"`` by
-        default — the service exists to run continuously, so the batched
-        kernel's per-iteration cost matters).
     admission_control:
         Screen arriving tasks with the closed-form infeasibility
         certificate before rebuilding.
@@ -95,8 +91,8 @@ class ServiceConfig:
         Optimizer iterations per :meth:`run` slice between event-loop
         yields.
     shards:
-        Maximum shard count for the live solve (vectorized backend only;
-        see :mod:`repro.core.sharding`).  Sharding partitions the compiled
+        Maximum shard count for the live solve (see
+        :mod:`repro.core.sharding`).  Sharding partitions the compiled
         structure by resource-connectivity components, so iterates are
         bitwise-identical to the unsharded solve; ``1`` (default) runs the
         plain kernel.
@@ -104,14 +100,13 @@ class ServiceConfig:
         ``"serial"`` or ``"processes"`` — forwarded to
         :attr:`~repro.core.optimizer.LLAConfig.shard_mode`.
     lla:
-        Optimizer configuration; ``None`` builds the paper defaults on
-        the configured backend.  When given, its ``backend``/``shards``/
-        ``shard_mode`` must match the service's, and its ``step_policy``
+        Optimizer configuration; ``None`` builds the paper defaults.
+        When given, its ``shards``/``shard_mode`` must match the
+        service's, and its ``step_policy``
         must be ``None`` (a shared policy object would leak step-size
         escalation across churn epochs).
     """
 
-    backend: str = "vectorized"
     admission_control: bool = True
     warm_start_churn: bool = True
     cache_capacity: int = 64
@@ -122,11 +117,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         """Reject inconsistent knobs at construction (REP008)."""
-        if self.backend not in ("scalar", "vectorized"):
-            raise ServiceError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'scalar' or 'vectorized'"
-            )
         if self.cache_capacity < 1:
             raise ServiceError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
@@ -139,22 +129,12 @@ class ServiceConfig:
             raise ServiceError(
                 f"shards must be >= 1, got {self.shards!r}"
             )
-        if self.shards > 1 and self.backend != "vectorized":
-            raise ServiceError(
-                "shards > 1 requires the vectorized backend, "
-                f"got backend={self.backend!r}"
-            )
         if self.shard_mode not in ("serial", "processes"):
             raise ServiceError(
                 f"unknown shard_mode {self.shard_mode!r}; "
                 "expected 'serial' or 'processes'"
             )
         if self.lla is not None:
-            if self.lla.backend != self.backend:
-                raise ServiceError(
-                    f"lla.backend {self.lla.backend!r} contradicts service "
-                    f"backend {self.backend!r}"
-                )
             if self.lla.shards != self.shards or \
                     self.lla.shard_mode != self.shard_mode:
                 raise ServiceError(
@@ -173,8 +153,7 @@ class ServiceConfig:
         """The effective per-epoch optimizer configuration."""
         if self.lla is not None:
             return self.lla
-        return LLAConfig(backend=self.backend, shards=self.shards,
-                         shard_mode=self.shard_mode)
+        return LLAConfig(shards=self.shards, shard_mode=self.shard_mode)
 
 
 @dataclass(frozen=True)
@@ -583,12 +562,10 @@ class AllocationService:
             taskset = self._make_taskset(self._tasks)
             fingerprint = taskset_fingerprint(taskset)
             lla = self.config.optimizer_config()
-            structure: Optional[TaskSetStructure] = None
-            if lla.backend == "vectorized":
-                structure = self._cache.get(
-                    taskset, max_latency_factor=lla.max_latency_factor,
-                    fingerprint=fingerprint,
-                )
+            structure = self._cache.get(
+                taskset, max_latency_factor=lla.max_latency_factor,
+                fingerprint=fingerprint,
+            )
             optimizer = LLAOptimizer(
                 taskset, lla, telemetry=self.telemetry, structure=structure,
             )
@@ -701,48 +678,22 @@ class AllocationService:
     # -- queries -----------------------------------------------------------------
 
     def query(self, task_name: str) -> AllocationView:
-        """The task's allocation under the current iterate.
+        """The task's allocation under the current iterate, read from the
+        compiled :class:`~repro.core.structure.TaskSetStructure` ("compile
+        once, share everywhere") without object traversal.
 
-        On the vectorized backend the answer is read from the compiled
-        :class:`~repro.core.structure.TaskSetStructure` ("compile once,
-        share everywhere"); the scalar backend falls back to the task
-        object graph.
+        Matches the task object's own answers value-for-value: the
+        weighted aggregate and per-path sums run as sequential Python
+        float additions in the same operand order
+        :meth:`Task.aggregated_latency` and a root-to-leaf path walk use.
         """
-        task = self._tasks.get(task_name)
         optimizer = self._optimizer
-        if task is None or optimizer is None:
+        if task_name not in self._tasks or optimizer is None:
             raise ServiceError(f"no task named {task_name!r} is registered")
         self._queries += 1
         if self.telemetry.enabled:
             self._metric("queries").inc()
-        structure = optimizer.structure
-        if structure is not None:
-            return self._query_from_structure(structure, task_name, optimizer)
-        latencies = {
-            name: optimizer.latencies[name] for name in task.subtask_names
-        }
-        return AllocationView(
-            task=task_name,
-            latencies=latencies,
-            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            utility=task.utility_value(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            meets_critical_time=task.meets_critical_time(latencies),
-            iteration=optimizer.iteration,
-            epoch=self._epoch,
-            converged=self._reconverged,
-        )
-
-    def _query_from_structure(self, structure: TaskSetStructure,
-                              task_name: str,
-                              optimizer: LLAOptimizer) -> AllocationView:
-        """Answer a query from the compiled arrays, no object traversal.
-
-        Matches the scalar path value-for-value: the weighted aggregate
-        and per-path sums run as sequential Python float additions in the
-        same operand order :meth:`Task.aggregated_latency` and the graph's
-        critical-path walk use.
-        """
-        s = structure
+        s = optimizer.structure
         t = s.task_index(task_name)
         ssl = s.task_subtask_slice(t)
         names = s.subtask_names[ssl.start:ssl.stop]
@@ -751,11 +702,7 @@ class AllocationService:
         agg = 0.0
         for w, lat in zip(s.weights[ssl.start:ssl.stop].tolist(), local):
             agg += w * lat
-        if int(s.ut_kind[t]) == 0:  # linear
-            utility = float(s.ut_kc[t]) - float(s.ut_slope[t]) * agg
-        else:  # inelastic
-            utility = float(s.ut_umax[t]) \
-                if agg <= float(s.ut_crit[t]) else 0.0
+        utility = float(optimizer.utility_array[t])
         psl = s.task_path_slice(t)
         # The flattened path membership is grouped by ascending path id,
         # so the task's entries form one contiguous run.
@@ -783,6 +730,22 @@ class AllocationService:
         if self._optimizer is None:
             return {}
         return dict(self._optimizer.latencies)
+
+    def feasible_allocations(self, tol: float) -> Optional[Dict[str, float]]:
+        """Every subtask's latency when the current iterate satisfies
+        Eqs. 3–4 within ``tol``, else ``None`` (also with no tasks).
+
+        The verdict is ``TaskSet.is_feasible(allocations(), tol)``, judged
+        on the engine's arrays; the dict is built only for a feasible
+        iterate.
+        """
+        optimizer = self._optimizer
+        if optimizer is None:
+            return None
+        lat = optimizer.latency_array
+        if not feasible_latencies(optimizer.structure, lat, tol):
+            return None
+        return dict(zip(optimizer.structure.subtask_names, lat.tolist()))
 
     @property
     def tasks(self) -> Tuple[str, ...]:

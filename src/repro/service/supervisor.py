@@ -581,12 +581,10 @@ class SupervisedService:
         taskset = self.service.taskset
         if taskset is None:
             return
-        latencies = self.service.allocations()
-        if not latencies:
+        latencies = self.service.feasible_allocations(tol=1e-2)
+        if latencies is None:
             return
-        if not taskset.is_feasible(latencies, tol=1e-2):  # statan: disable=REP016 -- one-shot validation of a proposed rebuild
-            return
-        self._last_good_latencies = dict(latencies)
+        self._last_good_latencies = latencies
         self._last_good_tasks = {
             task.name: task for task in taskset.tasks
         }
@@ -666,8 +664,8 @@ class SupervisedService:
         return AllocationView(
             task=name,
             latencies=latencies,
-            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            utility=task.utility_value(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
+            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- degraded answer from the last-good task objects
+            utility=task.utility_value(latencies),  # statan: disable=REP016 -- degraded answer from the last-good task objects
             meets_critical_time=task.meets_critical_time(latencies),
             iteration=self._last_good_iteration,
             epoch=self._last_good_epoch,

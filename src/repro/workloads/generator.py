@@ -147,9 +147,9 @@ def random_workload(config: Optional[GeneratorConfig] = None,
 
     # Names are zero-padded to the pool width so lexicographic order equals
     # numeric order: compile_structure's canonical (name-sorted) ordering
-    # then matches the declaration order, keeping the scalar and vectorized
-    # backends' iteration orders — and therefore their float trajectories —
-    # identical.  Small configs (< 11 tasks/resources) keep their old names.
+    # then matches the declaration order, keeping the engine's iteration
+    # order — and therefore its float trajectory — identical to a per-name
+    # loop over the task set.  Small configs (< 11 tasks/resources) keep their old names.
     t_width = len(str(config.n_tasks - 1))
     r_width = len(str(config.n_resources - 1))
     s_width = len(str(config.max_subtasks - 1))

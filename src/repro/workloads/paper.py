@@ -193,8 +193,8 @@ def scaled_workload(copies: int, critical_time_factor: float = 20.0,
 
     Tasks are declared in name-sorted order (T1, T1c1, …, T2, …) — the
     canonical order :func:`repro.core.structure.compile_structure` uses —
-    so the scalar and vectorized backends iterate the clones identically
-    and their trajectories stay bitwise-equal.
+    so the engine iterates the clones in declaration order and its
+    trajectory stays bitwise-equal to a per-name loop over the task set.
     """
     if copies < 1:
         raise ModelError(f"copies must be >= 1, got {copies!r}")

@@ -1,8 +1,8 @@
-"""The vectorized path's array-native facade.
+"""The optimizer's array-native facade.
 
-On the vectorized backend the convergence detector judges feasibility
-from the kernel's per-round loads and path latencies, and iteration
-records build their per-name fields only when read.  These tests pin both
+The convergence detector judges feasibility from the engine's per-round
+loads and path latencies, and iteration records build their per-name
+fields only when read.  These tests pin both
 to the object-graph reference: the array verdict must equal
 ``TaskSet.is_feasible`` on every round (feasible and infeasible alike),
 and a deferred record must equal an eagerly built one field by field.
@@ -24,6 +24,7 @@ from repro.service import AllocationService, ServiceConfig
 from repro.telemetry import Telemetry
 from repro.workloads.generator import GeneratorConfig, random_workload
 from tests.core.test_sharding import separable_taskset
+from tests.oracle import ReferenceLLA
 
 
 def _check_round(optimizer, verdicts):
@@ -61,7 +62,7 @@ class TestDetectorVerdictParity:
         full fixed-length run, unsharded and on two serial shards."""
         kwargs = {} if gamma is None else \
             {"step_policy": FixedStepSize(gamma)}
-        config = LLAConfig(backend="vectorized", shards=shards,
+        config = LLAConfig(shards=shards,
                            shard_mode="serial", max_iterations=300,
                            stop_on_convergence=False, **kwargs)
         verdicts = []
@@ -106,7 +107,7 @@ class TestDetectorVerdictParity:
 
 class TestDeferredRecords:
     def _history(self, **kwargs):
-        config = LLAConfig(backend="vectorized", max_iterations=60,
+        config = LLAConfig(max_iterations=60,
                            stop_on_convergence=False, **kwargs)
         return LLAOptimizer(separable_taskset(partitions=2),
                             config).run().history
@@ -144,35 +145,39 @@ class TestDeferredRecords:
 class TestFacadeDicts:
     def test_no_scalar_controllers_on_vectorized_path(self):
         optimizer = LLAOptimizer(separable_taskset(partitions=2),
-                                 LLAConfig(backend="vectorized"))
-        assert optimizer.allocators == {}
-        assert optimizer.path_prices == {}
+                                 LLAConfig())
+        assert not hasattr(optimizer, "allocators")
+        assert not hasattr(optimizer, "path_prices")
 
     def test_metrics_match_scalar_backend(self):
         """Per-round metrics computed from the arrays (no dicts) agree
-        with the scalar backend's per-name computation."""
-        snapshots = {}
-        for backend in ("scalar", "vectorized"):
-            telemetry = Telemetry()
-            LLAOptimizer(separable_taskset(partitions=2),
-                         LLAConfig(backend=backend, max_iterations=80,
-                                   stop_on_convergence=False),
-                         telemetry=telemetry).run()
-            snapshots[backend] = telemetry.registry.snapshot()
-        scalar, vector = snapshots["scalar"], snapshots["vectorized"]
-        for name in ("lla.iterations_total", "lla.congested_resources_total",
-                     "lla.congested_paths_total"):
-            assert vector[name] == scalar[name], name
+        with the same quantities computed per name from the reference's
+        records."""
+        config = LLAConfig(max_iterations=80, stop_on_convergence=False)
+        telemetry = Telemetry()
+        LLAOptimizer(separable_taskset(partitions=2), config,
+                     telemetry=telemetry).run()
+        vector = telemetry.registry.snapshot()
+        history = ReferenceLLA(separable_taskset(partitions=2),
+                               config).run().history
+        assert vector["lla.iterations_total"]["value"] == len(history)
+        assert vector["lla.congested_resources_total"]["value"] == sum(
+            len(r.congested_resources) for r in history)
+        assert vector["lla.congested_paths_total"]["value"] == sum(
+            len(r.congested_paths) for r in history)
+        before, last = history[-2].resource_prices, history[-1].resource_prices
+        drift = sum(abs(last[r] - before[r]) for r in sorted(last)) \
+            / len(last)
         assert vector["lla.price_drift"]["value"] == pytest.approx(
-            scalar["lla.price_drift"]["value"], rel=1e-12)
+            drift, rel=1e-12)
 
     def test_price_dict_edits_flow_into_reallocation(self):
         """Editing ``resource_prices.prices`` in place and reallocating
-        adopts the edit, as on the scalar backend."""
+        adopts the edit, as on the per-name reference."""
         results = {}
-        for backend in ("scalar", "vectorized"):
-            optimizer = LLAOptimizer(separable_taskset(partitions=2),
-                                     LLAConfig(backend=backend))
+        for backend, cls in (("scalar", ReferenceLLA),
+                             ("vectorized", LLAOptimizer)):
+            optimizer = cls(separable_taskset(partitions=2), LLAConfig())
             optimizer.run(20)
             prices = optimizer.resource_prices.prices
             for name in list(prices):
@@ -187,28 +192,26 @@ class TestFacadeDicts:
 
 
 class TestObserveArguments:
-    def test_needs_exactly_one_form(self, chain_ts):
+    def test_needs_both_arrays_in_structure_shape(self, chain_ts):
         s = compile_structure(chain_ts)
-        det = ConvergenceDetector(chain_ts, structure=s)
+        det = ConvergenceDetector(s)
         loads = np.zeros(s.n_resources)
         path_lat = np.zeros(s.n_paths)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             det.observe(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             det.observe(1.0, loads=loads)
         with pytest.raises(ValueError):
-            det.observe(1.0, {"x": 1.0}, loads=loads, path_lat=path_lat)
+            det.observe(1.0, loads=np.zeros(s.n_resources + 1),
+                        path_lat=path_lat)
+        with pytest.raises(ValueError):
+            det.observe(1.0, loads=loads, path_lat=np.zeros(s.n_paths + 1))
         det.observe(1.0, loads=loads, path_lat=path_lat)
         assert det.feasible()
 
-    def test_arrays_need_a_structure(self, chain_ts):
-        det = ConvergenceDetector(chain_ts)
-        with pytest.raises(ValueError):
-            det.observe(1.0, loads=np.zeros(1), path_lat=np.zeros(1))
-
     def test_verdict_follows_the_tolerance(self, chain_ts):
         s = compile_structure(chain_ts)
-        det = ConvergenceDetector(chain_ts, feasibility_tol=0.5, structure=s)
+        det = ConvergenceDetector(s, feasibility_tol=0.5)
         over = s.availability + 0.25
         det.observe(1.0, loads=over, path_lat=s.path_crit.copy())
         assert det.feasible()

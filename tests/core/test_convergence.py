@@ -3,6 +3,20 @@
 import pytest
 
 from repro.core.convergence import ConvergenceDetector
+from repro.core.structure import compile_structure
+from repro.core.vectorized import observe_assignment
+
+
+class LatencyDetector(ConvergenceDetector):
+    """The detector fed latency dicts: each is measured on the compiled
+    structure and observed as the engine's loads and path latencies."""
+
+    def __init__(self, taskset, **kwargs):
+        super().__init__(compile_structure(taskset), **kwargs)
+
+    def observe(self, utility, latencies):
+        obs = observe_assignment(self.structure, latencies)
+        super().observe(utility, loads=obs.loads, path_lat=obs.path_lat)
 
 
 def feasible_latencies(ts):
@@ -13,7 +27,7 @@ def feasible_latencies(ts):
 
 class TestConvergenceDetector:
     def test_not_converged_before_window_fills(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=5)
+        det = LatencyDetector(chain_ts, window=5)
         for _ in range(5):
             det.observe(10.0, feasible_latencies(chain_ts))
         assert not det.converged()   # needs window+1 observations
@@ -21,27 +35,27 @@ class TestConvergenceDetector:
         assert det.converged()
 
     def test_detects_stability(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3)
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3)
         for _ in range(10):
             det.observe(100.0, feasible_latencies(chain_ts))
         assert det.utility_stable()
 
     def test_rejects_drift(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3)
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3)
         for i in range(10):
             det.observe(100.0 + i, feasible_latencies(chain_ts))
         assert not det.utility_stable()
 
     def test_relative_tolerance_scales(self, chain_ts):
         # Spread 0.5 on a value of 10000 is relatively tiny.
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3)
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3)
         values = [10000.0, 10000.5, 10000.0, 10000.4, 10000.1]
         for v in values:
             det.observe(v, feasible_latencies(chain_ts))
         assert det.utility_stable()
 
     def test_requires_feasibility(self, base_ts):
-        det = ConvergenceDetector(base_ts, window=2)
+        det = LatencyDetector(base_ts, window=2)
         infeasible = {n: 0.1 for n in base_ts.subtask_names}
         for _ in range(6):
             det.observe(10.0, infeasible)
@@ -50,14 +64,14 @@ class TestConvergenceDetector:
         assert not det.converged()
 
     def test_feasibility_check_optional(self, base_ts):
-        det = ConvergenceDetector(base_ts, window=2, require_feasible=False)
+        det = LatencyDetector(base_ts, window=2, require_feasible=False)
         infeasible = {n: 0.1 for n in base_ts.subtask_names}
         for _ in range(6):
             det.observe(10.0, infeasible)
         assert det.converged()
 
     def test_reset(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=2)
+        det = LatencyDetector(chain_ts, window=2)
         for _ in range(6):
             det.observe(10.0, feasible_latencies(chain_ts))
         assert det.converged()
@@ -66,11 +80,11 @@ class TestConvergenceDetector:
 
     def test_rejects_bad_params(self, base_ts):
         with pytest.raises(ValueError):
-            ConvergenceDetector(base_ts, window=0)
+            LatencyDetector(base_ts, window=0)
         with pytest.raises(ValueError):
-            ConvergenceDetector(base_ts, utility_tol=0.0)
+            LatencyDetector(base_ts, utility_tol=0.0)
         with pytest.raises(ValueError):
-            ConvergenceDetector(base_ts, utility_floor=0.0)
+            LatencyDetector(base_ts, utility_floor=0.0)
 
 
 class TestSmallUtilityScale:
@@ -80,7 +94,7 @@ class TestSmallUtilityScale:
     still swinging by 50% of its own magnitude."""
 
     def test_small_utilities_still_swinging_not_stable(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3)
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3)
         # |U| ~ 1e-4 with a 30% relative spread: with the old absolute
         # scale of 1.0 the spread (6e-5) was far below tol and this
         # wrongly converged.
@@ -89,14 +103,14 @@ class TestSmallUtilityScale:
         assert not det.utility_stable()
 
     def test_small_utilities_settled_are_stable(self, chain_ts):
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3)
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3)
         for _ in range(6):
             det.observe(1.0e-4, feasible_latencies(chain_ts))
         assert det.utility_stable()
 
     def test_identically_zero_trace_is_stable(self, chain_ts):
         # The floor's other job: no division by zero on an all-zero trace.
-        det = ConvergenceDetector(chain_ts, window=3)
+        det = LatencyDetector(chain_ts, window=3)
         for _ in range(6):
             det.observe(0.0, feasible_latencies(chain_ts))
         assert det.utility_stable()
@@ -104,7 +118,7 @@ class TestSmallUtilityScale:
     def test_floor_bounds_the_scale_from_below(self, chain_ts):
         # Raising the floor above the trace magnitude re-enables the old
         # absolute judgement for callers that want it.
-        det = ConvergenceDetector(chain_ts, window=3, utility_tol=1e-3,
+        det = LatencyDetector(chain_ts, window=3, utility_tol=1e-3,
                                   utility_floor=1.0)
         for v in (1.0e-4, 1.3e-4, 0.9e-4, 1.2e-4, 1.1e-4):
             det.observe(v, feasible_latencies(chain_ts))

@@ -153,5 +153,6 @@ class TestConfig:
         base = base_ts.share_function("T11")
         base_ts.set_share_function("T11", CorrectedShare(base, error=2.0))
         opt.refresh_model()
-        lo, _hi = opt.allocators["T1"]._bounds["T11"]
+        s = opt.structure
+        lo = s.lo[s.subtask_names.index("T11")]
         assert lo == pytest.approx(base.min_latency(1.0) + 2.0)

@@ -5,14 +5,13 @@ import math
 import pytest
 
 from repro.errors import OptimizationError
-from repro.core.prices import (
+from repro.core.prices import update_path_price, update_resource_price
+from repro.core.state import PathKey
+from tests.oracle import (
     PathPriceUpdater,
     ResourcePriceUpdater,
-    update_path_price,
-    update_resource_price,
+    ReferenceFixedStepSize as FixedStepSize,
 )
-from repro.core.state import PathKey
-from repro.core.stepsize import FixedStepSize
 
 
 class TestUpdateRules:

@@ -32,7 +32,7 @@ def separable_taskset(partitions=2, seed=3):
 
 
 def _engine(taskset, shards, mode="serial"):
-    config = LLAConfig(backend="vectorized", shards=shards, shard_mode=mode)
+    config = LLAConfig(shards=shards, shard_mode=mode)
     policy = config.build_step_policy(taskset)
     if shards == 1 and mode == "serial":
         return VectorizedEngine(taskset, config, policy)
@@ -141,8 +141,7 @@ class TestFullRunParity:
     within 1e-9 (bitwise in practice) and converges in the same rounds."""
 
     def _run(self, **kwargs):
-        config = LLAConfig(backend="vectorized", max_iterations=400,
-                           **kwargs)
+        config = LLAConfig(max_iterations=400, **kwargs)
         return LLAOptimizer(separable_taskset(), config).run()
 
     def test_sharded_full_run_matches_unsharded(self):
@@ -170,7 +169,7 @@ class TestFullRunParity:
 
     def test_optimizer_exposes_the_sharded_structure(self):
         opt = LLAOptimizer(separable_taskset(),
-                           LLAConfig(backend="vectorized", shards=2))
+                           LLAConfig(shards=2))
         assert isinstance(opt._engine, ShardedEngine)
         assert opt.structure is not None
         assert opt.structure.fingerprint
@@ -182,7 +181,8 @@ class TestConfigValidation:
             LLAConfig(shards=0)
 
     def test_lla_rejects_scalar_sharding(self):
-        with pytest.raises(OptimizationError, match="vectorized"):
+        """One engine: no backend knob to pair with shards."""
+        with pytest.raises(TypeError, match="backend"):
             LLAConfig(backend="scalar", shards=2)
 
     def test_lla_rejects_unknown_shard_mode(self):
@@ -194,7 +194,7 @@ class TestConfigValidation:
             ServiceConfig(shards=0)
 
     def test_service_rejects_scalar_sharding(self):
-        with pytest.raises(ServiceError, match="vectorized"):
+        with pytest.raises(TypeError, match="backend"):
             ServiceConfig(backend="scalar", shards=2)
 
     def test_service_rejects_unknown_shard_mode(self):
@@ -204,4 +204,4 @@ class TestConfigValidation:
     def test_service_rejects_contradictory_lla_sharding(self):
         with pytest.raises(ServiceError, match="contradicts"):
             ServiceConfig(shards=2,
-                          lla=LLAConfig(backend="vectorized", shards=4))
+                          lla=LLAConfig(shards=4))

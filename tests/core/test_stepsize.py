@@ -1,25 +1,31 @@
-"""Unit tests for step-size policies (Section 5.2's heuristic)."""
+"""Unit tests for step-size policies (Section 5.2's heuristic).
+
+The engine runs the heuristic as array updates; its per-name semantics are
+pinned here on the reference form in ``tests/oracle.py``, which the parity
+tests hold the engine to.
+"""
 
 import pytest
 
 from repro.core.state import PathKey
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize
 from repro.errors import OptimizationError
+from tests.oracle import ReferenceAdaptiveStepSize, ReferenceFixedStepSize
 
 
 class TestFixedStepSize:
     def test_uniform(self):
         policy = FixedStepSize(2.5)
-        assert policy.resource_gamma("anything") == 2.5
-        assert policy.path_gamma(PathKey("t", 0)) == 2.5
+        assert policy.gamma == 2.5
+        assert policy.path_gamma == 2.5
 
     def test_split_gammas(self):
         policy = FixedStepSize(1.0, path_gamma=0.01)
-        assert policy.resource_gamma("r") == 1.0
-        assert policy.path_gamma(PathKey("t", 0)) == 0.01
+        assert policy.gamma == 1.0
+        assert policy.path_gamma == 0.01
 
     def test_observe_is_noop(self):
-        policy = FixedStepSize(1.0)
+        policy = ReferenceFixedStepSize(1.0)
         policy.observe(["r0"], [PathKey("t", 0)])
         assert policy.resource_gamma("r0") == 1.0
 
@@ -32,23 +38,23 @@ class TestFixedStepSize:
 
 class TestAdaptiveStepSize:
     def test_initial_gamma(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         assert policy.resource_gamma("r0") == 1.0
 
     def test_doubles_while_congested(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=64.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=64.0)
         for expected in (2.0, 4.0, 8.0):
             policy.observe(["r0"], [])
             assert policy.resource_gamma("r0") == expected
 
     def test_caps_at_max_gamma(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=4.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=4.0)
         for _ in range(10):
             policy.observe(["r0"], [])
         assert policy.resource_gamma("r0") == 4.0
 
     def test_reverts_when_uncongested(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         policy.observe(["r0"], [])
         policy.observe(["r0"], [])
         assert policy.resource_gamma("r0") == 4.0
@@ -56,7 +62,7 @@ class TestAdaptiveStepSize:
         assert policy.resource_gamma("r0") == 1.0
 
     def test_paths_through_congested_resource_double(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         # r3 hosts T14 (task 1) and T27 (task 2).
         policy.observe(["r3"], [])
         t1_paths_via_r3 = [
@@ -70,12 +76,12 @@ class TestAdaptiveStepSize:
         assert policy.path_gamma(PathKey("T3", 0)) == 1.0
 
     def test_unaffected_resources_keep_initial(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         policy.observe(["r0"], [])
         assert policy.resource_gamma("r1") == 1.0
 
     def test_reset(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         policy.observe(["r0", "r1"], [])
         policy.reset()
         assert policy.resource_gamma("r0") == 1.0
@@ -83,11 +89,11 @@ class TestAdaptiveStepSize:
             policy.path_gamma(k) == 1.0 for k in policy._path_gamma
         )
 
-    def test_rejects_bad_params(self, base_ts):
+    def test_rejects_bad_params(self):
         with pytest.raises(OptimizationError):
-            AdaptiveStepSize(base_ts, initial_gamma=0.0)
+            AdaptiveStepSize(initial_gamma=0.0)
         with pytest.raises(OptimizationError):
-            AdaptiveStepSize(base_ts, growth=1.0)
+            AdaptiveStepSize(growth=1.0)
 
 
 class TestDirectPathCongestion:
@@ -96,7 +102,7 @@ class TestDirectPathCongestion:
     entirely, so latency constraints never got the Section 5.2 boost."""
 
     def test_directly_congested_path_doubles(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         key = PathKey("T3", 0)
         for expected in (2.0, 4.0, 8.0):
             policy.observe([], [key])
@@ -106,7 +112,7 @@ class TestDirectPathCongestion:
         assert policy.resource_gamma("r0") == 1.0
 
     def test_snaps_back_when_constraint_clears(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         key = PathKey("T3", 0)
         policy.observe([], [key])
         policy.observe([], [key])
@@ -115,7 +121,7 @@ class TestDirectPathCongestion:
         assert policy.path_gamma(key) == 1.0
 
     def test_caps_at_max_gamma(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=4.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0, max_gamma=4.0)
         key = PathKey("T3", 0)
         for _ in range(10):
             policy.observe([], [key])
@@ -126,7 +132,7 @@ class TestDirectPathCongestion:
         violation starts doubling from the initial γ even if resource
         coverage had already escalated the path (inheriting the boosted γ
         makes the first Eq. 9 step huge and locks limit cycles)."""
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         key = PathKey("T3", 0)  # T3 is a chain through r0.
         policy.observe(["r0"], [])
         policy.observe(["r0"], [])
@@ -137,7 +143,7 @@ class TestDirectPathCongestion:
         assert policy.path_gamma(key) == 2.0
 
     def test_both_triggers_serve_the_larger(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         key = PathKey("T3", 0)
         policy.observe(["r0"], [])
         policy.observe(["r0"], [])          # coverage γ → 4
@@ -145,7 +151,7 @@ class TestDirectPathCongestion:
         assert policy.path_gamma(key) == 8.0
 
     def test_reset_clears_direct_state(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         key = PathKey("T3", 0)
         policy.observe([], [key])
         policy.reset()
@@ -161,20 +167,20 @@ class TestChurnRobustness:
     agent reports against an old task set)."""
 
     def test_observe_ignores_unknown_resource(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         # Must not raise, and must not disturb known state.
         policy.observe(["r0", "no-such-resource"], [])
         assert policy.resource_gamma("r0") == 2.0
         assert policy.resource_gamma("no-such-resource") == 1.0
 
     def test_observe_ignores_unknown_path(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         ghost = PathKey("departed-task", 3)
         policy.observe([], [ghost])
         assert policy.path_gamma(ghost) == 1.0
 
     def test_unknown_keys_report_initial_gamma(self, base_ts):
-        policy = AdaptiveStepSize(base_ts, initial_gamma=0.5)
+        policy = ReferenceAdaptiveStepSize(base_ts, initial_gamma=0.5)
         assert policy.resource_gamma("never-registered") == 0.5
         assert policy.path_gamma(PathKey("never-registered", 0)) == 0.5
 
@@ -182,11 +188,11 @@ class TestChurnRobustness:
         """Rebuilding the policy for a churned task set (what the service
         does on every epoch) must start every γ back at the initial
         value, even for names shared with the escalated predecessor."""
-        old = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        old = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         for _ in range(3):
             old.observe(list(base_ts.resources), [])
         assert old.resource_gamma("r0") == 8.0
-        new = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        new = ReferenceAdaptiveStepSize(base_ts, initial_gamma=1.0)
         for rname in base_ts.resources:
             assert new.resource_gamma(rname) == 1.0
         for key, gamma in new._path_gamma.items():

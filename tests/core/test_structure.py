@@ -16,18 +16,24 @@ import pytest
 from repro.core.structure import (
     _FLOAT_ARRAYS,
     _INDEX_ARRAYS,
+    UTILITY_EXPONENTIAL,
+    UTILITY_LOG,
+    UTILITY_QUADRATIC,
     compile_structure,
     structure_from_dict,
     structure_to_dict,
 )
 from repro.errors import ModelError
 from repro.model.task import TaskSet
+from repro.model.utility import (
+    ExponentialUtility,
+    LogUtility,
+    QuadraticUtility,
+)
 from repro.workloads.generator import GeneratorConfig, random_workload
 from repro.workloads.paper import base_workload
 
-_ALL_ARRAYS = _INDEX_ARRAYS + _FLOAT_ARRAYS + (
-    "ut_kind", "hyper_mask", "path_res_inc",
-)
+_ALL_ARRAYS = _INDEX_ARRAYS + _FLOAT_ARRAYS + ("ut_kind", "hyper_mask")
 
 
 def _assert_structures_equal(a, b):
@@ -85,6 +91,22 @@ class TestRoundTrip:
         restored = structure_from_dict(wire)
         _assert_structures_equal(s, restored)
         assert restored.fingerprint == s.fingerprint
+
+    def test_numeric_utilities_round_trip(self):
+        """Log, quadratic and exponential tasks compile their utility
+        kind and parameters, and the payload carries them exactly."""
+        ts = random_workload(GeneratorConfig(n_tasks=6, n_resources=8),
+                             seed=11)
+        kinds = (LogUtility, QuadraticUtility, ExponentialUtility)
+        for i, task in enumerate(sorted(ts.tasks, key=lambda t: t.name)):
+            task.utility = kinds[i % 3](task.critical_time)
+        s = compile_structure(ts)
+        assert s.ut_kind.tolist() == [
+            UTILITY_LOG, UTILITY_QUADRATIC, UTILITY_EXPONENTIAL] * 2
+        assert s.ut_shape[0] == ts.task(s.task_names[0]).utility.softness
+        restored = structure_from_dict(
+            json.loads(json.dumps(structure_to_dict(s))))
+        _assert_structures_equal(s, restored)
 
     def test_rebound_structure_can_refresh(self):
         ts = base_workload()

@@ -1,40 +1,52 @@
-"""Parity tests: the vectorized backend must reproduce the scalar one.
+"""Parity tests: the engine must reproduce the per-name reference.
 
-The vectorized kernel (:mod:`repro.core.vectorized`) exists purely for
-throughput — the acceptance bar is element-wise closeness (rtol ≤ 1e-9) of
-latencies, prices and utility over full figure runs, and the implementation
-actually delivers bitwise-identical trajectories (every reduction is
-ordered like its scalar counterpart), which these tests pin down so a ulp
-regression is caught before it flips an adaptive-γ branch.
+The optimizer runs every workload on the batched engine
+(:mod:`repro.core.vectorized`); ``tests/oracle.py`` keeps the iteration
+in its per-controller form.  The acceptance bar is element-wise closeness
+(rtol ≤ 1e-9) of latencies, prices and utility over full figure runs, and
+the engine actually delivers bitwise-identical trajectories (every
+reduction is ordered like its per-name counterpart), which these tests
+pin down so a ulp regression is caught before it flips an adaptive-γ
+branch.
 """
 
 import numpy as np
 import pytest
 
+import repro.experiments.fig5 as fig5
+import repro.experiments.fig6 as fig6
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize
+from repro.core.structure import UTILITY_LOG
 from repro.errors import OptimizationError
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
 from repro.model.share import PowerLawShare, ShareFunction
 from repro.model.utility import LogUtility
 from repro.workloads.paper import base_workload
 from tests.conftest import make_chain_taskset
 from tests.core.test_inelastic import mixed_taskset
+from tests.core.test_sharding import separable_taskset
+from tests.oracle import ReferenceLLA
 
 
 def _pair(taskset_factory, **config_kwargs):
-    """Two optimizers over fresh task-set copies, one per backend."""
+    """The reference and the engine over fresh task-set copies."""
     return tuple(
-        LLAOptimizer(taskset_factory(),
-                     LLAConfig(backend=backend, **config_kwargs))
-        for backend in ("scalar", "vectorized")
+        cls(taskset_factory(), LLAConfig(**config_kwargs))
+        for cls in (ReferenceLLA, LLAOptimizer)
     )
 
 
+def _reference_run(module, monkeypatch):
+    """``module``'s figure run with the reference in place of the
+    optimizer."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "LLAOptimizer", ReferenceLLA)
+        return getattr(module, f"run_{module.__name__.rsplit('.', 1)[1]}")()
+
+
 def assert_records_match(scalar, vector):
-    """Element-wise parity of two IterationRecords (rtol per the ISSUE's
-    acceptance bar; in practice the values are bitwise equal)."""
+    """Element-wise parity of two IterationRecords (rtol 1e-9; in
+    practice the values are bitwise equal)."""
     assert vector.iteration == scalar.iteration
     assert vector.utility == pytest.approx(scalar.utility, rel=1e-9, abs=0.0)
     for field in ("latencies", "resource_prices", "path_prices",
@@ -49,11 +61,11 @@ def assert_records_match(scalar, vector):
 
 
 class TestFigureRunParity:
-    def test_fig5_full_run(self):
+    def test_fig5_full_run(self, monkeypatch):
         """All four Figure 5 series (fixed γ ∈ {0.1, 1, 10} + adaptive)
-        produce the same utility trace on both backends."""
-        scalar = run_fig5(backend="scalar")
-        vector = run_fig5(backend="vectorized")
+        produce the same utility trace as the reference."""
+        scalar = _reference_run(fig5, monkeypatch)
+        vector = fig5.run_fig5()
         assert set(vector.series) == set(scalar.series)
         for label, line in scalar.series.items():
             np.testing.assert_allclose(
@@ -61,10 +73,10 @@ class TestFigureRunParity:
                 rtol=1e-9, atol=0.0, err_msg=label,
             )
 
-    def test_fig6_full_run(self):
+    def test_fig6_full_run(self, monkeypatch):
         """The ×1/×2/×4 scaling runs (unbounded adaptive γ) match too."""
-        scalar = run_fig6(backend="scalar")
-        vector = run_fig6(backend="vectorized")
+        scalar = _reference_run(fig6, monkeypatch)
+        vector = fig6.run_fig6()
         assert set(vector.points) == set(scalar.points)
         for n, point in scalar.points.items():
             np.testing.assert_allclose(
@@ -87,14 +99,10 @@ class TestRecordParity:
             assert_records_match(s_opt.step(), v_opt.step())
 
     def test_adaptive_step_records(self):
-        def config(ts):
-            return dict(step_policy=AdaptiveStepSize(ts, initial_gamma=1.0),
-                        max_iterations=300, stop_on_convergence=False)
-
-        ts_s, ts_v = base_workload(), base_workload()
-        s_opt = LLAOptimizer(ts_s, LLAConfig(backend="scalar", **config(ts_s)))
-        v_opt = LLAOptimizer(ts_v, LLAConfig(backend="vectorized",
-                                             **config(ts_v)))
+        s_opt, v_opt = _pair(
+            base_workload, step_policy=AdaptiveStepSize(initial_gamma=1.0),
+            max_iterations=300, stop_on_convergence=False,
+        )
         for _ in range(300):
             assert_records_match(s_opt.step(), v_opt.step())
 
@@ -121,6 +129,25 @@ class TestRecordParity:
             assert_records_match(s_opt.step(), v_opt.step())
 
 
+    def test_records_bitwise_equal_on_separable_workload(self):
+        """Every record field is exactly equal, critical paths included:
+        both sides sum each path root to leaf."""
+        s_opt, v_opt = _pair(lambda: separable_taskset(partitions=2),
+                             max_iterations=25, stop_on_convergence=False)
+        for _ in range(25):
+            expected, actual = s_opt.step(), v_opt.step()
+            assert actual.iteration == expected.iteration
+            assert actual.utility == expected.utility
+            for field in ("latencies", "resource_prices", "path_prices",
+                          "resource_loads", "critical_paths"):
+                assert getattr(actual, field) == getattr(expected, field), \
+                    (actual.iteration, field)
+            assert set(actual.congested_resources) == \
+                set(expected.congested_resources)
+            assert set(actual.congested_paths) == \
+                set(expected.congested_paths)
+
+
 class TestFacadeParity:
     def test_run_result(self):
         s_opt, v_opt = _pair(base_workload, max_iterations=400)
@@ -145,8 +172,7 @@ class TestFacadeParity:
 
     def test_reset_reproduces_run(self):
         ts = base_workload()
-        opt = LLAOptimizer(ts, LLAConfig(backend="vectorized",
-                                         max_iterations=150,
+        opt = LLAOptimizer(ts, LLAConfig(max_iterations=150,
                                          stop_on_convergence=False))
         first = [opt.step().utility for _ in range(150)]
         opt.reset()
@@ -156,11 +182,12 @@ class TestFacadeParity:
 
 
 class TestUnsupportedModels:
-    def test_nonclosed_form_utility_rejected(self):
+    def test_numeric_utility_compiles(self):
         ts = make_chain_taskset()
         ts.tasks[0].utility = LogUtility(ts.tasks[0].critical_time)
-        with pytest.raises(OptimizationError, match="backend='scalar'"):
-            LLAOptimizer(ts, LLAConfig(backend="vectorized"))
+        opt = LLAOptimizer(ts, LLAConfig())
+        assert opt.structure.ut_kind.tolist() == [UTILITY_LOG]
+        assert np.isfinite(opt.step().utility)
 
     def test_custom_share_function_rejected(self):
         class OddShare(ShareFunction):
@@ -178,9 +205,11 @@ class TestUnsupportedModels:
 
         ts = make_chain_taskset()
         ts.set_share_function("s0", OddShare())
-        with pytest.raises(OptimizationError, match="backend='scalar'"):
-            LLAOptimizer(ts, LLAConfig(backend="vectorized"))
+        with pytest.raises(OptimizationError,
+                           match="does not support share function OddShare"):
+            LLAOptimizer(ts, LLAConfig())
 
     def test_bad_backend_name_rejected(self, base_ts):
-        with pytest.raises(OptimizationError, match="backend"):
-            LLAOptimizer(base_ts, LLAConfig(backend="simd"))
+        """There is one engine: the config has no backend to name."""
+        with pytest.raises(TypeError, match="backend"):
+            LLAConfig(backend="simd")

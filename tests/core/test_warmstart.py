@@ -13,6 +13,7 @@ from repro.model.share import CorrectedShare, PowerLawShare
 from repro.model.utility import LogUtility
 from repro.workloads.paper import base_workload, scaled_workload
 from tests.conftest import make_chain_taskset
+from tests.oracle import ReferenceLLA
 
 
 class TestEstimate:
@@ -111,23 +112,26 @@ class TestIntegration:
         opt.reset()
         assert opt.resource_prices.prices == pytest.approx(initial)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_apply_after_iterating_matches_fresh_optimizer(self, backend):
+    @pytest.mark.parametrize("optimizer_class", [
+        pytest.param(ReferenceLLA, id="scalar"),
+        pytest.param(LLAOptimizer, id="vectorized"),
+    ])
+    def test_apply_after_iterating_matches_fresh_optimizer(
+            self, optimizer_class):
         """Regression: applying a warm start to an optimizer that already
         iterated used to leave the previous run's path prices (and
         step-size escalation) in place, so its state diverged from a
         fresh warm-started optimizer.  After ``apply_warm_start`` the two
         must hold identical duals and then walk identical trajectories.
         """
-        config = LLAConfig(backend=backend, max_iterations=500,
-                           stop_on_convergence=False)
-        stale = LLAOptimizer(base_workload(), config)
+        config = LLAConfig(max_iterations=500, stop_on_convergence=False)
+        stale = optimizer_class(base_workload(), config)
         stale.run(40)
         apply_warm_start(stale)
-        fresh = LLAOptimizer(
+        fresh = optimizer_class(
             base_workload(),
-            LLAConfig(backend=backend, max_iterations=500,
-                      stop_on_convergence=False, warm_start=True),
+            LLAConfig(max_iterations=500, stop_on_convergence=False,
+                      warm_start=True),
         )
         assert stale.resource_prices.prices == pytest.approx(
             fresh.resource_prices.prices)

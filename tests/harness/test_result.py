@@ -23,7 +23,6 @@ def make_run(**overrides):
         description="a toy run",
         params={"a": 1},
         seed=7,
-        backend="scalar",
         profile="default",
         git_sha="abc1234",
         wall_time_seconds=0.25,
@@ -131,6 +130,21 @@ class TestValidateRunResult:
         data["checks"][0]["passed"] = "yes"
         assert any("boolean 'passed'" in p
                    for p in validate_run_result(data))
+
+    def test_legacy_backend_key_still_loads(self):
+        """Older artifacts carry a null or
+        string ``backend``; they validate and load, and a bad type is
+        still flagged.  New runs do not write the key."""
+        run = make_run()
+        assert "backend" not in run.to_dict()
+        for value in (None, "scalar", "vectorized"):
+            data = run.to_dict()
+            data["backend"] = value
+            assert validate_run_result(data) == []
+            assert RunResult.from_dict(data) == run
+        data = run.to_dict()
+        data["backend"] = ["scalar"]
+        assert any("'backend'" in p for p in validate_run_result(data))
 
     def test_non_numeric_measured_flagged(self):
         data = make_run().to_dict()

@@ -14,7 +14,7 @@ from repro.model.graph import SubtaskGraph
 from repro.model.resources import Resource
 from repro.model.task import Subtask, Task
 from repro.model.utility import LinearUtility, LogUtility
-from repro.service import AllocationService, ServiceConfig
+from repro.service import AllocationService, ServiceConfig, SupervisedService
 from repro.telemetry import Telemetry
 
 
@@ -49,7 +49,8 @@ def make_service(n_tasks=2, **config_kwargs):
 
 class TestServiceConfig:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ServiceError):
+        """One engine: the config has no backend to name."""
+        with pytest.raises(TypeError, match="backend"):
             ServiceConfig(backend="gpu")
 
     def test_rejects_bad_capacity_and_batch(self):
@@ -59,23 +60,21 @@ class TestServiceConfig:
             ServiceConfig(batch_size=0)
 
     def test_rejects_contradictory_lla_backend(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(backend="vectorized",
-                          lla=LLAConfig(backend="scalar"))
+        with pytest.raises(TypeError, match="backend"):
+            ServiceConfig(lla=LLAConfig(backend="scalar"))
 
     def test_rejects_shared_step_policy(self):
         """A shared policy object would carry step-size escalation across
         churn epochs — the service demands per-epoch policies."""
         with pytest.raises(ServiceError):
-            ServiceConfig(
-                backend="scalar",
-                lla=LLAConfig(backend="scalar",
-                              step_policy=FixedStepSize(1.0)),
-            )
+            ServiceConfig(lla=LLAConfig(step_policy=FixedStepSize(1.0)))
 
     def test_optimizer_config_follows_backend(self):
-        assert ServiceConfig(backend="scalar").optimizer_config() \
-            .backend == "scalar"
+        """The per-epoch config carries the service's sharding and no
+        backend choice."""
+        config = ServiceConfig(shards=2).optimizer_config()
+        assert config.shards == 2
+        assert not hasattr(config, "backend")
 
 
 class TestConstruction:
@@ -193,10 +192,21 @@ class TestChurn:
         assert task.utility.k == 2.0
 
     def test_update_task_accepts_new_utility(self):
-        # LogUtility needs the numeric per-task solver → scalar backend.
-        service = make_service(n_tasks=1, backend="scalar")
-        service.update_task("t0", utility=LogUtility(40.0))
+        """The default service runs a log utility on the engine: the
+        update is admitted and the service re-converges feasibly."""
+        service = make_service(n_tasks=1)
+        decision = service.update_task("t0", utility=LogUtility(40.0))
+        assert decision.admitted
         assert isinstance(service.taskset.task("t0").utility, LogUtility)
+        assert service.run_to_convergence() is not None
+        assert service.taskset.is_feasible(service.allocations(), tol=1e-2)
+
+    def test_supervised_update_to_new_utility_ticks(self):
+        svc = SupervisedService(make_resources(), [make_task("t0")])
+        svc.run_ticks(3)
+        assert svc.update_task("t0", utility=LogUtility(40.0))
+        svc.tick()
+        assert isinstance(svc.service.task("t0").utility, LogUtility)
 
     def test_update_task_rejection_restores_old_task(self):
         service = make_service(n_tasks=1)

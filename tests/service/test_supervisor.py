@@ -15,6 +15,7 @@ from repro.service import (
     Watchdog,
 )
 from repro.telemetry import Telemetry
+from repro.workloads.generator import GeneratorConfig, random_workload
 
 from tests.service.test_service import make_resources, make_task
 
@@ -301,3 +302,46 @@ class TestDeterminism:
         second_trace, second_stats = run()
         assert first_trace == second_trace
         assert first_stats == second_stats
+
+
+class TestLastGoodCapture:
+    def test_verdict_matches_the_object_graph_on_every_tick(self):
+        """The last-good capture judges feasibility on the engine's
+        arrays; on every tick of a seeded churn run its verdict equals
+        ``TaskSet.is_feasible(allocations, tol=1e-2)``, and a feasible
+        tick refreshes the remembered allocation."""
+        taskset = random_workload(
+            GeneratorConfig(n_tasks=10, n_resources=8, min_subtasks=2,
+                            max_subtasks=4), seed=11)
+        tasks = sorted(taskset.tasks, key=lambda t: t.name)
+        resources = [r for _, r in sorted(taskset.resources.items())]
+        svc = SupervisedService(resources, tasks)
+        verdicts = []
+
+        def advance(ticks):
+            for _ in range(ticks):
+                svc.tick()
+                service = svc.service
+                allocations = service.allocations()
+                expected = service.taskset.is_feasible(allocations,
+                                                       tol=1e-2)
+                captured = service.feasible_allocations(tol=1e-2)
+                assert (captured is not None) == expected
+                if expected:
+                    assert captured == allocations
+                    assert svc._last_good_latencies == allocations
+                    assert svc._last_good_tick == svc._tick
+                else:
+                    assert svc._last_good_tick != svc._tick
+                verdicts.append(expected)
+
+        advance(15)
+        for victim in (tasks[0], tasks[5]):
+            assert svc.deregister(victim.name)
+            advance(6)
+            assert svc.register(victim)
+            advance(6)
+        assert svc.update_task(tasks[1].name,
+                               critical_time=tasks[1].critical_time * 1.1)
+        advance(6)
+        assert True in verdicts and False in verdicts

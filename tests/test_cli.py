@@ -70,7 +70,7 @@ class TestExperiment:
 
     def test_all_rejects_single_run_flags(self):
         with pytest.raises(SystemExit):
-            main(["experiment", "--all", "--backend", "vectorized"])
+            main(["experiment", "--all", "--iterations", "10"])
 
     def test_malformed_set_exits(self):
         with pytest.raises(SystemExit):
@@ -193,18 +193,17 @@ class TestOptimize:
             main(["optimize", "/nonexistent/workload.json"])
 
     def test_backend_flag(self, tmp_path, capsys):
+        """One engine: ``--backend`` is gone, and the default run prints
+        the reference convergence report (954 rounds with warm start)."""
         wl = tmp_path / "wl.json"
         main(["export-workload", "base", "-o", str(wl)])
         capsys.readouterr()
-        outs = {}
-        for backend in ("scalar", "vectorized"):
-            code = main(["optimize", str(wl), "--warm-start",
-                         "--backend", backend])
-            assert code == 0
-            outs[backend] = capsys.readouterr().out
-        # Identical iterates ⇒ identical printed convergence report.
-        assert outs["vectorized"] == outs["scalar"]
-        assert "converged: True" in outs["scalar"]
+        with pytest.raises(SystemExit):
+            main(["optimize", str(wl), "--backend", "vectorized"])
+        capsys.readouterr()
+        assert main(["optimize", str(wl), "--warm-start"]) == 0
+        assert "converged: True after 954 iterations" in \
+            capsys.readouterr().out
 
     def test_backend_rejects_unknown(self):
         with pytest.raises(SystemExit):
